@@ -108,18 +108,19 @@ def cmd_score(args: argparse.Namespace) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _evaluate_run(config: RunConfig, metric: str, ngram: int) -> EvaluationReport:
-    essays, questions, lexicons = _load_corpus(config)
-    grades = load_grades(config.grades)
+def _evaluate(corpus, grades, metric: str, ngram: int) -> EvaluationReport:
+    essays, questions, lexicons = corpus
     records = score_corpus(essays, questions, lexicons, metric=metric, n=ngram)
-    report = build_report(records, grades)
+    return build_report(records, grades)
+
+
+def _warn_unmatched(report: EvaluationReport) -> None:
     if report.unmatched_grades:
         print(
             f"warning: skipped {report.unmatched_grades} grade row(s) "
             f"referencing unknown students or unanswered questions",
             file=sys.stderr,
         )
-    return report
 
 
 def _rmse_rows(report: EvaluationReport, metric: str, ngram: int) -> list[tuple[str, str, str, str]]:
@@ -166,7 +167,9 @@ def _write_evaluation_files(config: RunConfig, report: EvaluationReport) -> None
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    report = _evaluate_run(config, config.metric, config.ngram)
+    corpus = _load_corpus(config)
+    report = _evaluate(corpus, load_grades(config.grades), config.metric, config.ngram)
+    _warn_unmatched(report)
     _write_evaluation_files(config, report)
     return 0
 
@@ -202,10 +205,15 @@ def _print_grid(rows: list[tuple[str, str, str, str]]) -> None:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    corpus = _load_corpus(config)
+    grades = load_grades(config.grades)
     all_rows: list[tuple[str, str, str, str]] = []
     for metric in METRIC_CHOICES:
         for ngram in VALID_NGRAM_SIZES:
-            report = _evaluate_run(config, metric, ngram)
+            report = _evaluate(corpus, grades, metric, ngram)
+            if not all_rows:
+                # unmatched grades depend only on the keys, not on the cell
+                _warn_unmatched(report)
             all_rows.extend(_rmse_rows(report, metric, ngram))
     all_rows.sort()
     config.out.mkdir(parents=True, exist_ok=True)

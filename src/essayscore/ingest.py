@@ -81,6 +81,10 @@ def _data_rows(path: str | Path, header: list[str]) -> list[list[str]]:
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"input file not found: {p}")
+    # the csv module's default limit of 131,072 characters per field would
+    # reject a long but legal essay; 2**31 - 1 is the largest C long on
+    # every platform
+    csv.field_size_limit(2**31 - 1)
     try:
         with open(p, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh, strict=True))

@@ -14,6 +14,22 @@ from .ingest import Lexicons
 TokenSequence = list[str]
 
 
+class _LetterTable(dict):
+    """``str.translate`` table keeping letters and mapping the rest to a space.
+
+    A letter maps to its own code point (``None`` would delete it). Entries
+    are filled on first sight of a code point, so the table holds only the
+    characters the input has used.
+    """
+
+    def __missing__(self, code: int) -> int | str:
+        self[code] = value = code if chr(code).isalpha() else " "
+        return value
+
+
+_LETTERS_ONLY = _LetterTable()
+
+
 def clean_text(raw: str) -> str:
     """Replace every non-letter character with a space and tidy whitespace.
 
@@ -22,8 +38,7 @@ def clean_text(raw: str) -> str:
     spaces, runs of whitespace collapse to one space, and the result is
     trimmed.
     """
-    kept = "".join(ch if ch.isalpha() else " " for ch in raw)
-    return " ".join(kept.split())
+    return " ".join(raw.translate(_LETTERS_ONLY).split())
 
 
 def case_fold(s: str) -> str:

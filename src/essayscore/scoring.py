@@ -16,10 +16,10 @@ from typing import Iterable, Sequence
 
 from .errors import MixedStudents, QuestionMismatch
 from .ingest import Lexicons, QuestionSpec, RawEssay
-from .ngrams import NGramProfile, extract_ngrams
+from .ngrams import extract_ngrams
 from .preprocess import preprocess_pipeline
 from .similarity import SIMILARITY_METRICS
-from .vsm import TermVector, Vocabulary, fit_vocabulary, transform
+from .vsm import fit_vocabulary, transform
 
 
 @dataclass(frozen=True)
@@ -40,24 +40,6 @@ class StudentScore:
     total: float
 
 
-def _to_grams(text: str, lexicons: Lexicons, n: int) -> NGramProfile:
-    return extract_ngrams(preprocess_pipeline(text, lexicons), n)
-
-
-def _question_vectors(
-    question: QuestionSpec,
-    answers: Sequence[RawEssay],
-    lexicons: Lexicons,
-    n: int,
-    log_base: float,
-) -> tuple[TermVector, Vocabulary]:
-    """Fit the per-question vocabulary and return the model answer's vector."""
-    docs = [_to_grams(question.model_answer, lexicons, n)]
-    docs.extend(_to_grams(a.text, lexicons, n) for a in answers)
-    vocab = fit_vocabulary(docs, log_base=log_base)
-    return transform(docs[0], vocab), vocab
-
-
 def score_question(
     answer: RawEssay,
     question: QuestionSpec,
@@ -72,8 +54,9 @@ def score_question(
 
     ``peer_answers`` should be every answer submitted for this question
     (the scored answer included); together with the model answer they form
-    the idf corpus. If the scored answer is missing from the list it is
-    added, so passing only the other students' answers is equivalent.
+    the idf corpus. If no peer has the scored answer's student id, the
+    scored answer is added, so passing only the other students' answers is
+    equivalent; otherwise that peer is the one scored.
     """
     if answer.question_id != question.question_id:
         raise QuestionMismatch(
@@ -87,19 +70,13 @@ def score_question(
                 f"peer answer {peer.student_id!r} is for question "
                 f"{peer.question_id!r}, not {question.question_id!r}"
             )
-    key = (answer.student_id, answer.question_id)
-    if not any((p.student_id, p.question_id) == key for p in pool):
+    if not any(p.student_id == answer.student_id for p in pool):
         pool.append(answer)
 
-    q_vec, vocab = _question_vectors(question, pool, lexicons, n, log_base)
-    d_vec = transform(_to_grams(answer.text, lexicons, n), vocab)
-    sim = SIMILARITY_METRICS[metric](d_vec, q_vec)
-    return ScoreRecord(
-        student_id=answer.student_id,
-        question_id=answer.question_id,
-        similarity=sim,
-        points=sim * question.weight,
+    records = score_corpus(
+        pool, [question], lexicons, metric=metric, n=n, log_base=log_base
     )
+    return next(r for r in records if r.student_id == answer.student_id)
 
 
 def score_corpus(
@@ -113,34 +90,36 @@ def score_corpus(
 ) -> list[ScoreRecord]:
     """Score every answer in a corpus, fitting one vocabulary per question.
 
-    Records come back in the answers' original order. Produces exactly the
-    same values as calling :func:`score_question` per answer, just without
-    refitting the vocabulary for each one.
+    Records come back in the answers' original order. Each document is
+    preprocessed once: a question's gram lists feed both its vocabulary fit
+    and its transforms, and are released before the next question.
     """
     specs = {q.question_id: q for q in questions}
-    by_question: dict[str, list[RawEssay]] = {}
-    for answer in answers:
+    by_question: dict[str, list[int]] = {}
+    for i, answer in enumerate(answers):
         if answer.question_id not in specs:
             raise QuestionMismatch(
                 f"answer {answer.student_id!r} refers to unknown question "
                 f"{answer.question_id!r}"
             )
-        by_question.setdefault(answer.question_id, []).append(answer)
+        by_question.setdefault(answer.question_id, []).append(i)
 
-    contexts: dict[str, tuple[TermVector, Vocabulary, float]] = {}
-    for question_id, group in by_question.items():
+    records: list[ScoreRecord] = [None] * len(answers)  # type: ignore[list-item]
+    for question_id, indices in by_question.items():
         question = specs[question_id]
-        q_vec, vocab = _question_vectors(question, group, lexicons, n, log_base)
-        contexts[question_id] = (q_vec, vocab, question.weight)
-
-    records = []
-    for answer in answers:
-        q_vec, vocab, weight = contexts[answer.question_id]
-        d_vec = transform(_to_grams(answer.text, lexicons, n), vocab)
-        sim = SIMILARITY_METRICS[metric](d_vec, q_vec)
-        records.append(
-            ScoreRecord(answer.student_id, answer.question_id, sim, sim * weight)
-        )
+        texts = [question.model_answer, *(answers[i].text for i in indices)]
+        docs = [extract_ngrams(preprocess_pipeline(t, lexicons), n) for t in texts]
+        vocab = fit_vocabulary(docs, log_base=log_base)
+        q_vec = transform(docs[0], vocab)
+        similarity = SIMILARITY_METRICS[metric]
+        for i, grams in zip(indices, docs[1:]):
+            sim = similarity(transform(grams, vocab), q_vec)
+            answer = answers[i]
+            records[i] = ScoreRecord(
+                answer.student_id, question_id, sim, sim * question.weight
+            )
+        # drop this question's grams before the next question's are built
+        del docs, vocab
     return records
 
 

@@ -5,6 +5,7 @@ import csv
 import pytest
 
 import oracle
+from essayscore import cli
 from essayscore.cli import main
 from conftest import cli_args
 
@@ -83,6 +84,21 @@ class TestScoreCommand:
             main(["score", *cli_args(data_dir, tmp_path), "--ngram", "4"])
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+    def test_answer_longer_than_csv_default_field_limit(self, data_dir, tmp_path):
+        # the csv module rejects fields over 131,072 characters by default
+        text = " ".join(["pancasila dasar negara"] * 9000)[:200_000]
+        answers = tmp_path / "answers.csv"
+        with open(answers, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["student_id", "question_id", "answer_text"])
+            writer.writerow(["s1", "q1", text])
+            writer.writerow(["s2", "q1", "tidak tahu"])
+        args = cli_args(data_dir, tmp_path / "out")
+        args[1] = str(answers)
+        assert main(["score", *args]) == 0
+        rows = read_rows(tmp_path / "out" / "scores.csv")[1:]
+        assert [r[:2] for r in rows] == [["s1", "q1"], ["s2", "q1"]]
 
     def test_unknown_metric_exits_2(self, data_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -245,6 +261,36 @@ class TestCompareCommand:
         assert "lowest rmse per metric" in out
         for qid in ("q1", "q2", "q3", "overall"):
             assert qid in out
+
+    def test_loads_each_input_once(self, data_dir, tmp_path, monkeypatch):
+        calls = []
+        for name in ("load_answers", "load_model", "load_lexicons", "load_grades"):
+            original = getattr(cli, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(cli, name, counting)
+        assert main(["compare", *cli_args(data_dir, tmp_path, grades=True)]) == 0
+        assert sorted(calls) == [
+            "load_answers", "load_grades", "load_lexicons", "load_model"
+        ]
+
+    def test_unmatched_grades_warned_once(self, data_dir, tmp_path, capsys):
+        grades_path = tmp_path / "grades.csv"
+        original = (data_dir / "grades.csv").read_text(encoding="utf-8")
+        grades_path.write_text(original + "s99,q1,10\n", encoding="utf-8")
+        args = cli_args(data_dir, tmp_path / "out")
+        assert main(["compare", "--grades", str(grades_path), *args]) == 0
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning:")
+        ]
+        assert warnings == [
+            "warning: skipped 1 grade row(s) referencing unknown students "
+            "or unanswered questions"
+        ]
 
     def test_empty_student_set_exits_1(self, data_dir, tmp_path, capsys):
         empty_answers = tmp_path / "answers.csv"

@@ -1,6 +1,6 @@
 """Preprocessing stage tests, including pipeline-level properties."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from essayscore import (
@@ -62,6 +62,15 @@ class TestCleanText:
     def test_idempotent(self, raw):
         once = clean_text(raw)
         assert clean_text(once) == once
+
+    @given(st.text())
+    @example("x\u00b2y")  # superscript two: a digit, not a letter
+    @example("\u0661\u0662\u0663 angka")  # Arabic-Indic digits
+    @example("cafe\u0301 na\u0308ive")  # combining marks are not letters
+    @example("\U0001d400\U0001d401 \U00020000")  # astral-plane letters
+    def test_matches_per_character_rule(self, raw):
+        kept = "".join(ch if ch.isalpha() else " " for ch in raw)
+        assert clean_text(raw) == " ".join(kept.split())
 
 
 class TestCaseFold:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from essayscore import scoring
 from essayscore import (
     Lexicons,
     MixedStudents,
@@ -140,6 +141,19 @@ class TestScoreCorpus:
             )
             totals = {t.student_id: t.total for t in aggregate_totals(records)}
             assert totals["s9"] == pytest.approx(expected, abs=1e-9)
+
+    def test_preprocesses_each_document_once(self, corpus, monkeypatch):
+        answers, questions, _, lexicons = corpus
+        seen = []
+        original = scoring.preprocess_pipeline
+
+        def counting(raw, lex):
+            seen.append(raw)
+            return original(raw, lex)
+
+        monkeypatch.setattr(scoring, "preprocess_pipeline", counting)
+        score_corpus(answers, questions, lexicons, metric="cosine", n=2)
+        assert len(seen) == len(questions) + len(answers)
 
     def test_unanimous_corpus_collapses_to_zero(self):
         # When every answer equals the model answer, every term appears in
