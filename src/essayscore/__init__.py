@@ -20,14 +20,12 @@ from .errors import (
     LengthMismatch,
     MalformedCsv,
     MissingFile,
-    MixedStudents,
     MultiTokenEntry,
     NegativeScore,
     NegativeWeight,
     QuestionMismatch,
     TooFewSubjects,
     TooFewValues,
-    ZeroMean,
 )
 from .evaluation import (
     AnovaResult,
@@ -61,7 +59,6 @@ from .preprocess import (
 from .scoring import (
     ScoreRecord,
     StudentScore,
-    aggregate_student,
     aggregate_totals,
     score_corpus,
     score_question,
@@ -73,7 +70,6 @@ from .vsm import (
     fit_vocabulary,
     term_frequency,
     transform,
-    write_vocabulary_csv,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +91,6 @@ __all__ = [
     "Lexicons",
     "MalformedCsv",
     "MissingFile",
-    "MixedStudents",
     "MultiTokenEntry",
     "NegativeScore",
     "NegativeWeight",
@@ -110,8 +105,6 @@ __all__ = [
     "TooFewValues",
     "VALID_NGRAM_SIZES",
     "Vocabulary",
-    "ZeroMean",
-    "aggregate_student",
     "aggregate_totals",
     "build_report",
     "case_fold",
@@ -136,5 +129,4 @@ __all__ = [
     "term_frequency",
     "tokenize",
     "transform",
-    "write_vocabulary_csv",
 ]

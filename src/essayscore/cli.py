@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import EssayScoreError
-from .evaluation import EvaluationReport, build_report
+from .evaluation import DescriptiveStats, EvaluationReport, build_report
 from .ingest import load_answers, load_grades, load_lexicons, load_model
 from .ngrams import VALID_NGRAM_SIZES
 from .scoring import aggregate_totals, score_corpus
@@ -35,37 +35,10 @@ DEFAULT_METRIC = "cosine"
 DEFAULT_NGRAM = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs for one command invocation."""
-
-    answers: Path
-    model: Path
-    stopwords: Path
-    normalization: Path
-    out: Path
-    grades: Path | None = None
-    metric: str = DEFAULT_METRIC
-    ngram: int = DEFAULT_NGRAM
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        answers=Path(args.answers),
-        model=Path(args.model),
-        stopwords=Path(args.stopwords),
-        normalization=Path(args.normalization),
-        out=Path(args.out),
-        grades=Path(args.grades) if getattr(args, "grades", None) else None,
-        metric=getattr(args, "metric", DEFAULT_METRIC),
-        ngram=getattr(args, "ngram", DEFAULT_NGRAM),
-    )
-
-
-def _load_corpus(config: RunConfig):
-    essays = load_answers(config.answers)
-    questions = load_model(config.model)
-    lexicons = load_lexicons(config.stopwords, config.normalization)
+def _load_corpus(args: argparse.Namespace):
+    essays = load_answers(args.answers)
+    questions = load_model(args.model)
+    lexicons = load_lexicons(args.stopwords, args.normalization)
     return essays, questions, lexicons
 
 
@@ -81,26 +54,23 @@ def _write_rows(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]
 # ---------------------------------------------------------------------------
 
 def cmd_score(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    essays, questions, lexicons = _load_corpus(config)
-    records = score_corpus(
-        essays, questions, lexicons, metric=config.metric, n=config.ngram
-    )
-    config.out.mkdir(parents=True, exist_ok=True)
+    essays, questions, lexicons = _load_corpus(args)
+    records = score_corpus(essays, questions, lexicons, metric=args.metric, n=args.ngram)
+    args.out.mkdir(parents=True, exist_ok=True)
 
     score_rows = sorted(
         (r.student_id, r.question_id, f"{r.similarity:.4f}", f"{r.points:.2f}")
         for r in records
     )
     _write_rows(
-        config.out / "scores.csv",
+        args.out / "scores.csv",
         ["student_id", "question_id", "similarity", "points"],
         score_rows,
     )
     total_rows = sorted(
         (t.student_id, f"{t.total:.2f}") for t in aggregate_totals(records)
     )
-    _write_rows(config.out / "totals.csv", ["student_id", "total"], total_rows)
+    _write_rows(args.out / "totals.csv", ["student_id", "total"], total_rows)
     return 0
 
 
@@ -133,24 +103,37 @@ def _rmse_rows(report: EvaluationReport, metric: str, ngram: int) -> list[tuple[
     return rows
 
 
-def _write_evaluation_files(config: RunConfig, report: EvaluationReport) -> None:
-    config.out.mkdir(parents=True, exist_ok=True)
+def _stats_row(source: str, stats: DescriptiveStats) -> tuple[str, ...]:
+    """One ``stats.csv`` row; an undefined cv is an empty cell plus a warning."""
+    mean, std, cv = (f"{v:.4f}" for v in stats)
+    if math.isnan(stats.cv):
+        print(
+            f"warning: {source} totals have mean 0, so their coefficient of "
+            f"variation is undefined; cv left empty",
+            file=sys.stderr,
+        )
+        cv = ""
+    return (source, mean, std, cv)
+
+
+def _write_evaluation_files(args: argparse.Namespace, report: EvaluationReport) -> None:
+    args.out.mkdir(parents=True, exist_ok=True)
     _write_rows(
-        config.out / "evaluation.csv",
+        args.out / "evaluation.csv",
         ["question_id", "metric", "ngram", "rmse"],
-        sorted(_rmse_rows(report, config.metric, config.ngram)),
+        sorted(_rmse_rows(report, args.metric, args.ngram)),
     )
     _write_rows(
-        config.out / "stats.csv",
+        args.out / "stats.csv",
         ["source", "mean", "std", "cv"],
         [
-            ("system", *(f"{v:.4f}" for v in report.system_stats)),
-            ("human", *(f"{v:.4f}" for v in report.human_stats)),
+            _stats_row("system", report.system_stats),
+            _stats_row("human", report.human_stats),
         ],
     )
     anova = report.anova
     _write_rows(
-        config.out / "anova.csv",
+        args.out / "anova.csv",
         ["comparison", "f", "wilks_lambda", "p", "eta_sq", "df_error"],
         [
             (
@@ -166,11 +149,10 @@ def _write_evaluation_files(config: RunConfig, report: EvaluationReport) -> None
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    corpus = _load_corpus(config)
-    report = _evaluate(corpus, load_grades(config.grades), config.metric, config.ngram)
+    corpus = _load_corpus(args)
+    report = _evaluate(corpus, load_grades(args.grades), args.metric, args.ngram)
     _warn_unmatched(report)
-    _write_evaluation_files(config, report)
+    _write_evaluation_files(args, report)
     return 0
 
 
@@ -204,9 +186,8 @@ def _print_grid(rows: list[tuple[str, str, str, str]]) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    corpus = _load_corpus(config)
-    grades = load_grades(config.grades)
+    corpus = _load_corpus(args)
+    grades = load_grades(args.grades)
     all_rows: list[tuple[str, str, str, str]] = []
     for metric in METRIC_CHOICES:
         for ngram in VALID_NGRAM_SIZES:
@@ -216,9 +197,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 _warn_unmatched(report)
             all_rows.extend(_rmse_rows(report, metric, ngram))
     all_rows.sort()
-    config.out.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     _write_rows(
-        config.out / "compare.csv",
+        args.out / "compare.csv",
         ["question_id", "metric", "ngram", "rmse"],
         all_rows,
     )
@@ -231,13 +212,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common_arguments(sub: argparse.ArgumentParser, with_grades: bool) -> None:
-    sub.add_argument("--answers", required=True, help="student answers CSV")
-    sub.add_argument("--model", required=True, help="model answers CSV")
+    sub.add_argument("--answers", required=True, type=Path, help="student answers CSV")
+    sub.add_argument("--model", required=True, type=Path, help="model answers CSV")
     if with_grades:
-        sub.add_argument("--grades", required=True, help="teacher grades CSV")
-    sub.add_argument("--stopwords", required=True, help="stopword list, one per line")
-    sub.add_argument("--normalization", required=True, help="slang,formal CSV")
-    sub.add_argument("--out", required=True, metavar="DIR", help="output directory")
+        sub.add_argument("--grades", required=True, type=Path, help="teacher grades CSV")
+    sub.add_argument("--stopwords", required=True, type=Path, help="stopword list, one per line")
+    sub.add_argument("--normalization", required=True, type=Path, help="slang,formal CSV")
+    sub.add_argument("--out", required=True, type=Path, metavar="DIR", help="output directory")
 
 
 def _add_config_arguments(sub: argparse.ArgumentParser) -> None:

@@ -60,10 +60,6 @@ class QuestionMismatch(EssayScoreError):
     """An answer refers to a different question than the one being scored."""
 
 
-class MixedStudents(EssayScoreError):
-    """Score records from several students were aggregated as one student."""
-
-
 # --- evaluation errors -------------------------------------------------------
 
 class EmptyInput(EssayScoreError):
@@ -72,10 +68,6 @@ class EmptyInput(EssayScoreError):
 
 class TooFewValues(EssayScoreError):
     """Descriptive statistics need at least two values."""
-
-
-class ZeroMean(EssayScoreError):
-    """Coefficient of variation is undefined when the mean is zero."""
 
 
 class LengthMismatch(EssayScoreError):

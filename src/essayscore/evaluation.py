@@ -19,14 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    EmptyInput,
-    InvalidDf,
-    LengthMismatch,
-    TooFewSubjects,
-    TooFewValues,
-    ZeroMean,
-)
+from .errors import EmptyInput, InvalidDf, LengthMismatch, TooFewSubjects, TooFewValues
 from .ingest import HumanGrade
 from .scoring import ScoreRecord
 
@@ -61,16 +54,15 @@ def descriptive_stats(values: Sequence[float]) -> DescriptiveStats:
     """Mean, sample standard deviation (n-1), and coefficient of variation.
 
     The coefficient of variation is std/mean expressed in percent; it is
-    undefined for zero mean.
+    undefined for zero mean, where it is NaN.
     """
     n = len(values)
     if n < 2:
         raise TooFewValues(f"need at least 2 values, got {n}")
     mean = math.fsum(values) / n
     std = math.sqrt(math.fsum((x - mean) ** 2 for x in values) / (n - 1))
-    if mean == 0.0:
-        raise ZeroMean("coefficient of variation is undefined for zero mean")
-    return DescriptiveStats(mean=mean, std=std, cv=std / mean * 100.0)
+    cv = std / mean * 100.0 if mean != 0.0 else math.nan
+    return DescriptiveStats(mean=mean, std=std, cv=cv)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import MixedStudents, QuestionMismatch
+from .errors import QuestionMismatch
 from .ingest import Lexicons, QuestionSpec, RawEssay
 from .ngrams import extract_ngrams
 from .preprocess import preprocess_pipeline
@@ -63,13 +63,8 @@ def score_question(
             f"answer {answer.student_id!r} is for question "
             f"{answer.question_id!r}, not {question.question_id!r}"
         )
+    # score_corpus rejects any peer for another question
     pool = list(peer_answers)
-    for peer in pool:
-        if peer.question_id != question.question_id:
-            raise QuestionMismatch(
-                f"peer answer {peer.student_id!r} is for question "
-                f"{peer.question_id!r}, not {question.question_id!r}"
-            )
     if not any(p.student_id == answer.student_id for p in pool):
         pool.append(answer)
 
@@ -123,27 +118,9 @@ def score_corpus(
     return records
 
 
-def aggregate_student(
-    records: Iterable[ScoreRecord], student_id: str | None = None
-) -> StudentScore:
-    """Sum one student's points into a total.
-
-    All records must belong to the same student. ``student_id`` fixes the
-    identity when the record list may be empty.
-    """
-    records = list(records)
-    ids = {r.student_id for r in records}
-    if student_id is not None:
-        ids.add(student_id)
-    if len(ids) > 1:
-        raise MixedStudents(f"records span several students: {sorted(ids)}")
-    sid = ids.pop() if ids else ""
-    return StudentScore(sid, math.fsum(r.points for r in records))
-
-
 def aggregate_totals(records: Sequence[ScoreRecord]) -> list[StudentScore]:
     """Per-student totals, in order of each student's first record."""
-    grouped: dict[str, list[ScoreRecord]] = {}
+    grouped: dict[str, list[float]] = {}
     for record in records:
-        grouped.setdefault(record.student_id, []).append(record)
-    return [aggregate_student(group, sid) for sid, group in grouped.items()]
+        grouped.setdefault(record.student_id, []).append(record.points)
+    return [StudentScore(sid, math.fsum(points)) for sid, points in grouped.items()]

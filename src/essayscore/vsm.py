@@ -14,11 +14,9 @@ missing from a document are structurally absent.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import EmptyCorpus
 from .ngrams import NGramProfile
@@ -73,11 +71,3 @@ def transform(grams: NGramProfile, vocab: Vocabulary) -> TermVector:
         if term in idf and idf[term] > 0.0
     }
 
-
-def write_vocabulary_csv(vocab: Vocabulary, path: str | Path) -> None:
-    """Dump a fitted vocabulary as ``term,df,idf`` rows sorted by term."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["term", "df", "idf"])
-        for term in sorted(vocab.df):
-            writer.writerow([term, vocab.df[term], repr(vocab.idf[term])])

@@ -305,6 +305,59 @@ class TestCompareCommand:
         assert "error:" in capsys.readouterr().err
 
 
+def write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+@pytest.fixture
+def trigram_free_args(tmp_path):
+    """Corpus args where no two-word answer has a trigram, so every n=3 total is 0."""
+    answers = [("s1", "dasar negara"), ("s2", "negara indonesia"), ("s3", "republik kita")]
+    write_csv(
+        tmp_path / "answers.csv",
+        ["student_id", "question_id", "answer_text"],
+        [(sid, "q1", text) for sid, text in answers],
+    )
+    write_csv(
+        tmp_path / "model.csv",
+        ["question_id", "model_answer", "weight"],
+        [("q1", "dasar negara republik indonesia", "20")],
+    )
+    write_csv(
+        tmp_path / "grades.csv",
+        ["student_id", "question_id", "score"],
+        [("s1", "q1", "12"), ("s2", "q1", "8"), ("s3", "q1", "3")],
+    )
+    (tmp_path / "stopwords.txt").write_text("", encoding="utf-8")
+    (tmp_path / "normalization.csv").write_text("slang,formal\n", encoding="utf-8")
+    args = cli_args(tmp_path, tmp_path / "out", grades=True)
+    args[args.index("--grades") + 1] = str(tmp_path / "grades.csv")
+    return args
+
+
+class TestZeroMeanTotals:
+    def test_compare_writes_every_cell(self, trigram_free_args, tmp_path):
+        assert main(["compare", *trigram_free_args]) == 0
+        rows = read_rows(tmp_path / "out" / "compare.csv")[1:]
+        assert len([r for r in rows if r[0] != "overall"]) == 6
+
+    def test_evaluate_leaves_cv_empty_and_warns(self, trigram_free_args, tmp_path, capsys):
+        assert main(["evaluate", *trigram_free_args, "--ngram", "3"]) == 0
+        stats = read_rows(tmp_path / "out" / "stats.csv")
+        assert stats[1] == ["system", "0.0000", "0.0000", ""]
+        assert stats[2][0] == "human" and stats[2][3] != ""
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning:")
+        ]
+        assert len(warnings) == 1 and "system" in warnings[0]
+        assert (tmp_path / "out" / "evaluation.csv").exists()
+        assert (tmp_path / "out" / "anova.csv").exists()
+
+
 class TestDeterminism:
     def test_two_full_runs_are_byte_identical(self, data_dir, tmp_path):
         trees = []

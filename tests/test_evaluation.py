@@ -15,7 +15,6 @@ from essayscore import (
     LengthMismatch,
     TooFewSubjects,
     TooFewValues,
-    ZeroMean,
     descriptive_stats,
     f_survival,
     repeated_measures_anova,
@@ -94,8 +93,10 @@ class TestDescriptiveStats:
             descriptive_stats([1.0])
 
     def test_zero_mean(self):
-        with pytest.raises(ZeroMean):
-            descriptive_stats([-1.0, 1.0])
+        stats = descriptive_stats([-1.0, 1.0])
+        assert stats.mean == 0.0
+        assert stats.std == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert math.isnan(stats.cv)
 
     def test_sample_denominator(self):
         # n-1 denominator: var([1, 3]) = 2, not 1

@@ -7,12 +7,11 @@ import pytest
 from essayscore import scoring
 from essayscore import (
     Lexicons,
-    MixedStudents,
     QuestionMismatch,
     QuestionSpec,
     RawEssay,
     ScoreRecord,
-    aggregate_student,
+    StudentScore,
     aggregate_totals,
     score_corpus,
     score_question,
@@ -84,6 +83,9 @@ class TestScoreQuestion:
         answer = RawEssay("s1", "q1", "x")
         with pytest.raises(QuestionMismatch):
             score_question(answer, question, [RawEssay("s2", "q9", "y")], EMPTY)
+        # a peer with the answer's own id replaces it in the pool
+        with pytest.raises(QuestionMismatch):
+            score_question(answer, question, [RawEssay("s1", "q9", "y")], EMPTY)
 
     def test_doubling_weight_doubles_points(self):
         answer = RawEssay("s1", "q1", "dasar negara")
@@ -171,28 +173,17 @@ class TestAggregation:
             ScoreRecord("s1", f"q{i}", 0.0, p)
             for i, p in enumerate([20.0, 15.0, 10.0, 5.0, 0.0])
         ]
-        assert aggregate_student(records).total == 50.0
+        assert aggregate_totals(records) == [StudentScore("s1", 50.0)]
 
     def test_empty(self):
-        assert aggregate_student([]).total == 0.0
-        assert aggregate_student([], student_id="s9").student_id == "s9"
+        assert aggregate_totals([]) == []
 
     def test_fractional(self):
         records = [
             ScoreRecord("s1", "q1", 0.0, 18.5),
             ScoreRecord("s1", "q2", 0.0, 11.25),
         ]
-        assert aggregate_student(records).total == 29.75
-
-    def test_mixed_students_rejected(self):
-        records = [
-            ScoreRecord("s1", "q1", 0.0, 1.0),
-            ScoreRecord("s2", "q1", 0.0, 1.0),
-        ]
-        with pytest.raises(MixedStudents):
-            aggregate_student(records)
-        with pytest.raises(MixedStudents):
-            aggregate_student(records[:1], student_id="s2")
+        assert aggregate_totals(records) == [StudentScore("s1", 29.75)]
 
     def test_totals_grouping(self):
         records = [
@@ -200,5 +191,8 @@ class TestAggregation:
             ScoreRecord("s1", "q1", 0.0, 2.0),
             ScoreRecord("s2", "q2", 0.0, 3.0),
         ]
-        totals = {t.student_id: t.total for t in aggregate_totals(records)}
-        assert totals == {"s1": 2.0, "s2": 4.0}
+        # students appear in order of their first record
+        assert aggregate_totals(records) == [
+            StudentScore("s2", 4.0),
+            StudentScore("s1", 2.0),
+        ]

@@ -1,6 +1,5 @@
 """TF-IDF weighting tests: exact values, invariants, and the log-base law."""
 
-import csv
 import math
 
 import pytest
@@ -15,7 +14,6 @@ from essayscore import (
     jaccard_similarity,
     term_frequency,
     transform,
-    write_vocabulary_csv,
 )
 
 docs_strategy = st.lists(
@@ -130,15 +128,3 @@ class TestLogBaseInvariance:
         for term, value in natural.idf.items():
             assert base10.idf[term] * scale == pytest.approx(value, abs=1e-12)
 
-
-def test_vocabulary_dump(tmp_path):
-    vocab = fit_vocabulary([["b", "a"], ["a"]])
-    out = tmp_path / "vocab.csv"
-    write_vocabulary_csv(vocab, out)
-    with open(out, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["term", "df", "idf"]
-    assert [r[0] for r in rows[1:]] == ["a", "b"]  # sorted by term
-    assert rows[1][1] == "2"
-    assert float(rows[1][2]) == 0.0
-    assert float(rows[2][2]) == pytest.approx(math.log(2), abs=1e-15)
