@@ -8,25 +8,7 @@ against human grades reports RMSE, descriptive statistics, and a
 two-condition repeated-measures ANOVA.
 """
 
-from .errors import (
-    DuplicateKey,
-    EmptyCorpus,
-    EmptyId,
-    EmptyInput,
-    EmptyModelAnswer,
-    EssayScoreError,
-    InvalidDf,
-    InvalidN,
-    LengthMismatch,
-    MalformedCsv,
-    MissingFile,
-    MultiTokenEntry,
-    NegativeScore,
-    NegativeWeight,
-    QuestionMismatch,
-    TooFewSubjects,
-    TooFewValues,
-)
+from .errors import EssayScoreError
 from .evaluation import (
     AnovaResult,
     DescriptiveStats,
@@ -61,7 +43,6 @@ from .scoring import (
     StudentScore,
     aggregate_totals,
     score_corpus,
-    score_question,
 )
 from .similarity import SIMILARITY_METRICS, cosine_similarity, jaccard_similarity
 from .vsm import (
@@ -77,32 +58,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AnovaResult",
     "DescriptiveStats",
-    "DuplicateKey",
-    "EmptyCorpus",
-    "EmptyId",
-    "EmptyInput",
-    "EmptyModelAnswer",
     "EssayScoreError",
     "EvaluationReport",
     "HumanGrade",
-    "InvalidDf",
-    "InvalidN",
-    "LengthMismatch",
     "Lexicons",
-    "MalformedCsv",
-    "MissingFile",
-    "MultiTokenEntry",
-    "NegativeScore",
-    "NegativeWeight",
-    "QuestionMismatch",
     "QuestionSpec",
     "RawEssay",
     "SIMILARITY_METRICS",
     "ScoreRecord",
     "StudentScore",
     "TermVector",
-    "TooFewSubjects",
-    "TooFewValues",
     "VALID_NGRAM_SIZES",
     "Vocabulary",
     "aggregate_totals",
@@ -125,7 +90,6 @@ __all__ = [
     "rmse",
     "repeated_measures_anova",
     "score_corpus",
-    "score_question",
     "term_frequency",
     "tokenize",
     "transform",

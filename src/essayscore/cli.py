@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import EssayScoreError
-from .evaluation import DescriptiveStats, EvaluationReport, build_report
+from .evaluation import EvaluationReport, build_report
 from .ingest import load_answers, load_grades, load_lexicons, load_model
 from .ngrams import VALID_NGRAM_SIZES
 from .scoring import aggregate_totals, score_corpus
@@ -84,12 +84,15 @@ def _evaluate(corpus, grades, metric: str, ngram: int) -> EvaluationReport:
     return build_report(records, grades)
 
 
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _warn_unmatched(report: EvaluationReport) -> None:
     if report.unmatched_grades:
-        print(
-            f"warning: skipped {report.unmatched_grades} grade row(s) "
-            f"referencing unknown students or unanswered questions",
-            file=sys.stderr,
+        _warn(
+            f"skipped {report.unmatched_grades} grade row(s) "
+            f"referencing unknown students or unanswered questions"
         )
 
 
@@ -103,17 +106,26 @@ def _rmse_rows(report: EvaluationReport, metric: str, ngram: int) -> list[tuple[
     return rows
 
 
-def _stats_row(source: str, stats: DescriptiveStats) -> tuple[str, ...]:
-    """One ``stats.csv`` row; an undefined cv is an empty cell plus a warning."""
-    mean, std, cv = (f"{v:.4f}" for v in stats)
-    if math.isnan(stats.cv):
-        print(
-            f"warning: {source} totals have mean 0, so their coefficient of "
-            f"variation is undefined; cv left empty",
-            file=sys.stderr,
+def _stats_rows(report: EvaluationReport) -> list[tuple[str, ...]]:
+    """``stats.csv`` rows; an undefined std or cv is an empty cell plus a warning."""
+    sources = (("system", report.system_stats), ("human", report.human_stats))
+    students = len(report.totals)
+    if students < 2:
+        _warn(
+            f"std and cv need at least 2 students, got {students}; "
+            f"std and cv left empty"
         )
-        cv = ""
-    return (source, mean, std, cv)
+    else:
+        for source, stats in sources:
+            if math.isnan(stats.cv):
+                _warn(
+                    f"{source} totals have mean 0, so their coefficient of "
+                    f"variation is undefined; cv left empty"
+                )
+    return [
+        (source, *("" if math.isnan(v) else f"{v:.4f}" for v in stats))
+        for source, stats in sources
+    ]
 
 
 def _write_evaluation_files(args: argparse.Namespace, report: EvaluationReport) -> None:
@@ -124,27 +136,27 @@ def _write_evaluation_files(args: argparse.Namespace, report: EvaluationReport) 
         sorted(_rmse_rows(report, args.metric, args.ngram)),
     )
     _write_rows(
-        args.out / "stats.csv",
-        ["source", "mean", "std", "cv"],
-        [
-            _stats_row("system", report.system_stats),
-            _stats_row("human", report.human_stats),
-        ],
+        args.out / "stats.csv", ["source", "mean", "std", "cv"], _stats_rows(report)
     )
     anova = report.anova
+    if anova is None:
+        _warn(
+            f"too few students ({len(report.totals)}) for the ANOVA; "
+            f"anova.csv cells left empty"
+        )
+        cells = ("",) * 5
+    else:
+        cells = (
+            f"{anova.f:.6g}",
+            f"{anova.wilks_lambda:.6g}",
+            f"{anova.p:.6g}",
+            f"{anova.eta_sq:.6g}",
+            str(anova.df_error),
+        )
     _write_rows(
         args.out / "anova.csv",
         ["comparison", "f", "wilks_lambda", "p", "eta_sq", "df_error"],
-        [
-            (
-                "system_vs_human",
-                f"{anova.f:.6g}",
-                f"{anova.wilks_lambda:.6g}",
-                f"{anova.p:.6g}",
-                f"{anova.eta_sq:.6g}",
-                str(anova.df_error),
-            )
-        ],
+        [("system_vs_human", *cells)],
     )
 
 

@@ -19,13 +19,16 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import EmptyInput, InvalidDf, LengthMismatch, TooFewSubjects, TooFewValues
+from .errors import EssayScoreError
 from .ingest import HumanGrade
 from .scoring import ScoreRecord
 
 # One (human score, system score) pair per student, or per student-question
 # when evaluating a single question.
 PairedScores = Sequence[tuple[float, float]]
+
+# repeated_measures_anova rejects fewer subjects; build_report skips it then
+_ANOVA_MIN_SUBJECTS = 3
 
 
 def rmse(pairs: PairedScores) -> float:
@@ -36,7 +39,7 @@ def rmse(pairs: PairedScores) -> float:
     would underflow.
     """
     if not pairs:
-        raise EmptyInput("rmse needs at least one pair")
+        raise EssayScoreError("rmse needs at least one pair")
     scale = max(abs(y - u) for y, u in pairs)
     if scale == 0.0:
         return 0.0
@@ -54,12 +57,15 @@ def descriptive_stats(values: Sequence[float]) -> DescriptiveStats:
     """Mean, sample standard deviation (n-1), and coefficient of variation.
 
     The coefficient of variation is std/mean expressed in percent; it is
-    undefined for zero mean, where it is NaN.
+    undefined for zero mean, where it is NaN. A single value has a mean but
+    no sample spread, so its std and cv are NaN.
     """
     n = len(values)
-    if n < 2:
-        raise TooFewValues(f"need at least 2 values, got {n}")
+    if n == 0:
+        raise EssayScoreError("need at least 1 value, got 0")
     mean = math.fsum(values) / n
+    if n == 1:
+        return DescriptiveStats(mean=mean, std=math.nan, cv=math.nan)
     std = math.sqrt(math.fsum((x - mean) ** 2 for x in values) / (n - 1))
     cv = std / mean * 100.0 if mean != 0.0 else math.nan
     return DescriptiveStats(mean=mean, std=std, cv=cv)
@@ -88,18 +94,22 @@ def repeated_measures_anova(a: Sequence[float], b: Sequence[float]) -> AnovaResu
     F = t^2 on (1, n-1) degrees of freedom.
     """
     if len(a) != len(b):
-        raise LengthMismatch(f"paired lists differ in length: {len(a)} vs {len(b)}")
+        raise EssayScoreError(f"paired lists differ in length: {len(a)} vs {len(b)}")
     n = len(a)
-    if n < 3:
-        raise TooFewSubjects(f"need at least 3 subjects, got {n}")
+    if n < _ANOVA_MIN_SUBJECTS:
+        raise EssayScoreError(f"need at least {_ANOVA_MIN_SUBJECTS} subjects, got {n}")
     diffs = [x - y for x, y in zip(a, b)]
+    df_error = n - 1
+    scale = max(abs(d) for d in diffs)
+    if scale == 0.0:
+        # the two conditions are identical: no effect at all
+        return AnovaResult(0.0, 1.0, 0.0, 1.0, df_error)
+    # t is scale-free; dividing by the largest difference keeps the variance
+    # of tiny differences from underflowing to a zero standard error
+    diffs = [d / scale for d in diffs]
     mean_d = math.fsum(diffs) / n
     var_d = math.fsum((d - mean_d) ** 2 for d in diffs) / (n - 1)
-    df_error = n - 1
     if var_d == 0.0:
-        if mean_d == 0.0:
-            # the two conditions are identical: no effect at all
-            return AnovaResult(0.0, 1.0, 0.0, 1.0, df_error)
         return AnovaResult(math.inf, 0.0, 1.0, 0.0, df_error, degenerate=True)
     t = mean_d / math.sqrt(var_d / n)
     f = t * t
@@ -185,7 +195,7 @@ def _regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 def f_survival(f: float, df1: int, df2: int) -> float:
     """Upper tail probability P(F(df1, df2) > f) for f >= 0."""
     if df1 < 1 or df2 < 1:
-        raise InvalidDf(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
+        raise EssayScoreError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
     if f < 0:
         raise ValueError(f"f statistic must be nonnegative, got {f}")
     if math.isinf(f):
@@ -205,7 +215,8 @@ class EvaluationReport:
     ``totals`` holds (student_id, human_total, system_total) rows sorted by
     student; per-question and overall RMSE, descriptive statistics for both
     graders, and the two-condition ANOVA are all derived from the matched
-    (student, question) pairs. ``unmatched_grades`` counts grade rows that
+    (student, question) pairs; ``anova`` is ``None`` when fewer than 3
+    students are matched. ``unmatched_grades`` counts grade rows that
     referenced an unknown student or an unanswered question and were
     skipped.
     """
@@ -215,7 +226,7 @@ class EvaluationReport:
     totals: list[tuple[str, float, float]]
     system_stats: DescriptiveStats
     human_stats: DescriptiveStats
-    anova: AnovaResult
+    anova: AnovaResult | None
     unmatched_grades: int
 
 
@@ -266,6 +277,10 @@ def build_report(
         totals=totals,
         system_stats=descriptive_stats(system_series),
         human_stats=descriptive_stats(human_series),
-        anova=repeated_measures_anova(system_series, human_series),
+        anova=(
+            repeated_measures_anova(system_series, human_series)
+            if len(totals) >= _ANOVA_MIN_SUBJECTS
+            else None
+        ),
         unmatched_grades=unmatched,
     )

@@ -20,16 +20,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (
-    DuplicateKey,
-    EmptyId,
-    EmptyModelAnswer,
-    MalformedCsv,
-    MissingFile,
-    MultiTokenEntry,
-    NegativeScore,
-    NegativeWeight,
-)
+from .errors import EssayScoreError
 
 ANSWERS_HEADER = ["student_id", "question_id", "answer_text"]
 MODEL_HEADER = ["question_id", "model_answer", "weight"]
@@ -76,44 +67,43 @@ class Lexicons:
     normalization: dict[str, str] = field(default_factory=dict)
 
 
-def _data_rows(path: str | Path, header: list[str]) -> list[list[str]]:
+def _data_rows(path: Path, header: list[str]) -> list[list[str]]:
     """Read a CSV file, check its header, and return the data rows."""
-    p = Path(path)
-    if not p.is_file():
-        raise MissingFile(f"input file not found: {p}")
+    if not path.is_file():
+        raise EssayScoreError(f"input file not found: {path}")
     # the csv module's default limit of 131,072 characters per field would
     # reject a long but legal essay; 2**31 - 1 is the largest C long on
     # every platform
     csv.field_size_limit(2**31 - 1)
     try:
-        with open(p, newline="", encoding="utf-8-sig") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh, strict=True))
     except csv.Error as exc:
-        raise MalformedCsv(f"{p}: {exc}") from exc
+        raise EssayScoreError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise MalformedCsv(f"{p}: not valid UTF-8 ({exc})") from exc
+        raise EssayScoreError(f"{path}: not valid UTF-8 ({exc})") from exc
     if not rows or rows[0] != header:
-        raise MalformedCsv(
-            f"{p}: expected header {','.join(header)!r}, "
+        raise EssayScoreError(
+            f"{path}: expected header {','.join(header)!r}, "
             f"got {','.join(rows[0]) if rows else '<empty file>'!r}"
         )
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise MalformedCsv(
-                f"{p}: line {i}: expected {len(header)} fields, got {len(row)}"
+            raise EssayScoreError(
+                f"{path}: line {i}: expected {len(header)} fields, got {len(row)}"
             )
     return rows[1:]
 
 
-def _parse_number(text: str, path: Path | str, line: int, column: str) -> float:
+def _parse_number(text: str, path: Path, line: int, column: str) -> float:
     try:
         value = float(text)
     except ValueError as exc:
-        raise MalformedCsv(
+        raise EssayScoreError(
             f"{path}: line {line}: {column} {text!r} is not a number"
         ) from exc
     if not math.isfinite(value):
-        raise MalformedCsv(f"{path}: line {line}: {column} {text!r} is not finite")
+        raise EssayScoreError(f"{path}: line {line}: {column} {text!r} is not finite")
     return value
 
 
@@ -123,16 +113,17 @@ def load_answers(path: str | Path) -> list[RawEssay]:
     Empty answer text is allowed (blank answers score zero downstream);
     empty identifiers and repeated (student_id, question_id) keys are not.
     """
+    path = Path(path)
     essays: list[RawEssay] = []
     seen: set[tuple[str, str]] = set()
     for i, (student_id, question_id, text) in enumerate(
         _data_rows(path, ANSWERS_HEADER), start=2
     ):
         if not student_id or not question_id:
-            raise EmptyId(f"{path}: line {i}: empty student_id or question_id")
+            raise EssayScoreError(f"{path}: line {i}: empty student_id or question_id")
         key = (student_id, question_id)
         if key in seen:
-            raise DuplicateKey(f"{path}: line {i}: duplicate answer for {key}")
+            raise EssayScoreError(f"{path}: line {i}: duplicate answer for {key}")
         seen.add(key)
         essays.append(RawEssay(student_id, question_id, text))
     return essays
@@ -140,6 +131,7 @@ def load_answers(path: str | Path) -> list[RawEssay]:
 
 def load_model(path: str | Path) -> list[QuestionSpec]:
     """Load the model answers and question weights."""
+    path = Path(path)
     specs: list[QuestionSpec] = []
     seen: set[str] = set()
     for i, (question_id, model_answer, weight_text) in enumerate(
@@ -147,11 +139,13 @@ def load_model(path: str | Path) -> list[QuestionSpec]:
     ):
         weight = _parse_number(weight_text, path, i, "weight")
         if weight < 0:
-            raise NegativeWeight(f"{path}: line {i}: weight {weight} is negative")
+            raise EssayScoreError(f"{path}: line {i}: weight {weight} is negative")
         if not model_answer:
-            raise EmptyModelAnswer(f"{path}: line {i}: empty model answer")
+            raise EssayScoreError(f"{path}: line {i}: empty model answer")
         if question_id in seen:
-            raise DuplicateKey(f"{path}: line {i}: duplicate question {question_id!r}")
+            raise EssayScoreError(
+                f"{path}: line {i}: duplicate question {question_id!r}"
+            )
         seen.add(question_id)
         specs.append(QuestionSpec(question_id, model_answer, weight))
     return specs
@@ -159,6 +153,7 @@ def load_model(path: str | Path) -> list[QuestionSpec]:
 
 def load_grades(path: str | Path) -> list[HumanGrade]:
     """Load the teacher's per-question grades."""
+    path = Path(path)
     grades: list[HumanGrade] = []
     seen: set[tuple[str, str]] = set()
     for i, (student_id, question_id, score_text) in enumerate(
@@ -166,18 +161,18 @@ def load_grades(path: str | Path) -> list[HumanGrade]:
     ):
         score = _parse_number(score_text, path, i, "score")
         if score < 0:
-            raise NegativeScore(f"{path}: line {i}: score {score} is negative")
+            raise EssayScoreError(f"{path}: line {i}: score {score} is negative")
         key = (student_id, question_id)
         if key in seen:
-            raise DuplicateKey(f"{path}: line {i}: duplicate grade for {key}")
+            raise EssayScoreError(f"{path}: line {i}: duplicate grade for {key}")
         seen.add(key)
         grades.append(HumanGrade(student_id, question_id, score))
     return grades
 
 
-def _check_single_token(entry: str, path: str | Path, line: int) -> str:
+def _check_single_token(entry: str, path: Path, line: int) -> str:
     if not entry or any(ch.isspace() for ch in entry):
-        raise MultiTokenEntry(
+        raise EssayScoreError(
             f"{path}: line {line}: {entry!r} must be a single whitespace-free token"
         )
     return entry.lower()
@@ -189,16 +184,17 @@ def load_lexicons(stopword_path: str | Path, normalization_path: str | Path) -> 
     All entries are case-folded to lowercase on load. Later normalization
     rows overwrite earlier ones with the same key.
     """
-    sp = Path(stopword_path)
-    if not sp.is_file():
-        raise MissingFile(f"input file not found: {sp}")
+    stopword_path = Path(stopword_path)
+    normalization_path = Path(normalization_path)
+    if not stopword_path.is_file():
+        raise EssayScoreError(f"input file not found: {stopword_path}")
     stopwords: set[str] = set()
-    with open(sp, encoding="utf-8-sig") as fh:
+    with open(stopword_path, encoding="utf-8-sig") as fh:
         for i, line in enumerate(fh, start=1):
             entry = line.strip()
             if not entry or entry.startswith("#"):
                 continue
-            stopwords.add(_check_single_token(entry, sp, i))
+            stopwords.add(_check_single_token(entry, stopword_path, i))
 
     normalization: dict[str, str] = {}
     for i, (slang, formal) in enumerate(

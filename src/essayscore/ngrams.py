@@ -8,7 +8,7 @@ are added, so a sequence shorter than n yields no grams at all.
 
 from __future__ import annotations
 
-from .errors import InvalidN
+from .errors import EssayScoreError
 from .preprocess import TokenSequence
 
 VALID_NGRAM_SIZES = (1, 2, 3)
@@ -23,7 +23,9 @@ def extract_ngrams(tokens: TokenSequence, n: int) -> NGramProfile:
     For four tokens this gives 4 unigrams, 3 bigrams, or 2 trigrams.
     """
     if n not in VALID_NGRAM_SIZES:
-        raise InvalidN(f"n-gram size must be one of {VALID_NGRAM_SIZES}, got {n!r}")
+        raise EssayScoreError(
+            f"n-gram size must be one of {VALID_NGRAM_SIZES}, got {n!r}"
+        )
     if n == 1:
         return list(tokens)
     return [" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import QuestionMismatch
+from .errors import EssayScoreError
 from .ingest import Lexicons, QuestionSpec, RawEssay
 from .ngrams import extract_ngrams
 from .preprocess import preprocess_pipeline
@@ -40,40 +40,6 @@ class StudentScore:
     total: float
 
 
-def score_question(
-    answer: RawEssay,
-    question: QuestionSpec,
-    peer_answers: Sequence[RawEssay],
-    lexicons: Lexicons,
-    *,
-    metric: str = "cosine",
-    n: int = 1,
-    log_base: float = math.e,
-) -> ScoreRecord:
-    """Score a single answer against its question's model answer.
-
-    ``peer_answers`` should be every answer submitted for this question
-    (the scored answer included); together with the model answer they form
-    the idf corpus. If no peer has the scored answer's student id, the
-    scored answer is added, so passing only the other students' answers is
-    equivalent; otherwise that peer is the one scored.
-    """
-    if answer.question_id != question.question_id:
-        raise QuestionMismatch(
-            f"answer {answer.student_id!r} is for question "
-            f"{answer.question_id!r}, not {question.question_id!r}"
-        )
-    # score_corpus rejects any peer for another question
-    pool = list(peer_answers)
-    if not any(p.student_id == answer.student_id for p in pool):
-        pool.append(answer)
-
-    records = score_corpus(
-        pool, [question], lexicons, metric=metric, n=n, log_base=log_base
-    )
-    return next(r for r in records if r.student_id == answer.student_id)
-
-
 def score_corpus(
     answers: Sequence[RawEssay],
     questions: Sequence[QuestionSpec],
@@ -93,7 +59,7 @@ def score_corpus(
     by_question: dict[str, list[int]] = {}
     for i, answer in enumerate(answers):
         if answer.question_id not in specs:
-            raise QuestionMismatch(
+            raise EssayScoreError(
                 f"answer {answer.student_id!r} refers to unknown question "
                 f"{answer.question_id!r}"
             )

@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EmptyCorpus
+from .errors import EssayScoreError
 from .ngrams import NGramProfile
 
 # Sparse mapping term -> positive TF-IDF weight.
@@ -49,7 +49,7 @@ def fit_vocabulary(docs: list[NGramProfile], log_base: float = math.e) -> Vocabu
     size); the collection itself must not be.
     """
     if not docs:
-        raise EmptyCorpus("cannot fit a vocabulary over zero documents")
+        raise EssayScoreError("cannot fit a vocabulary over zero documents")
     size = len(docs)
     df: Counter[str] = Counter()
     for grams in docs:

@@ -312,30 +312,48 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
-@pytest.fixture
-def trigram_free_args(tmp_path):
-    """Corpus args where no two-word answer has a trigram, so every n=3 total is 0."""
-    answers = [("s1", "dasar negara"), ("s2", "negara indonesia"), ("s3", "republik kita")]
+def one_question_args(root, students):
+    """CLI args for a one-question corpus of (student_id, answer, grade) rows."""
     write_csv(
-        tmp_path / "answers.csv",
+        root / "answers.csv",
         ["student_id", "question_id", "answer_text"],
-        [(sid, "q1", text) for sid, text in answers],
+        [(sid, "q1", text) for sid, text, _ in students],
     )
     write_csv(
-        tmp_path / "model.csv",
+        root / "model.csv",
         ["question_id", "model_answer", "weight"],
         [("q1", "dasar negara republik indonesia", "20")],
     )
     write_csv(
-        tmp_path / "grades.csv",
+        root / "grades.csv",
         ["student_id", "question_id", "score"],
-        [("s1", "q1", "12"), ("s2", "q1", "8"), ("s3", "q1", "3")],
+        [(sid, "q1", grade) for sid, _, grade in students],
     )
-    (tmp_path / "stopwords.txt").write_text("", encoding="utf-8")
-    (tmp_path / "normalization.csv").write_text("slang,formal\n", encoding="utf-8")
-    args = cli_args(tmp_path, tmp_path / "out", grades=True)
-    args[args.index("--grades") + 1] = str(tmp_path / "grades.csv")
+    (root / "stopwords.txt").write_text("", encoding="utf-8")
+    (root / "normalization.csv").write_text("slang,formal\n", encoding="utf-8")
+    args = cli_args(root, root / "out", grades=True)
+    args[args.index("--grades") + 1] = str(root / "grades.csv")
     return args
+
+
+def warnings_in(capsys):
+    return [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("warning:")
+    ]
+
+
+STUDENTS = [
+    ("s1", "dasar negara", "12"),
+    ("s2", "negara indonesia", "8"),
+    ("s3", "republik kita", "3"),
+]
+
+
+@pytest.fixture
+def trigram_free_args(tmp_path):
+    """Corpus args where no two-word answer has a trigram, so every n=3 total is 0."""
+    return one_question_args(tmp_path, STUDENTS)
 
 
 class TestZeroMeanTotals:
@@ -349,13 +367,47 @@ class TestZeroMeanTotals:
         stats = read_rows(tmp_path / "out" / "stats.csv")
         assert stats[1] == ["system", "0.0000", "0.0000", ""]
         assert stats[2][0] == "human" and stats[2][3] != ""
-        warnings = [
-            line for line in capsys.readouterr().err.splitlines()
-            if line.startswith("warning:")
-        ]
+        warnings = warnings_in(capsys)
         assert len(warnings) == 1 and "system" in warnings[0]
         assert (tmp_path / "out" / "evaluation.csv").exists()
         assert (tmp_path / "out" / "anova.csv").exists()
+
+
+class TestFewerThanThreeStudents:
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_compare_writes_every_cell(self, tmp_path, capsys, count):
+        args = one_question_args(tmp_path, STUDENTS[:count])
+        assert main(["compare", *args]) == 0
+        rows = read_rows(tmp_path / "out" / "compare.csv")[1:]
+        assert len(rows) == 12
+        assert all(r[3] != "" for r in rows)
+        assert warnings_in(capsys) == []
+
+    def test_evaluate_two_students_leaves_anova_empty(self, tmp_path, capsys):
+        args = one_question_args(tmp_path, STUDENTS[:2])
+        assert main(["evaluate", *args]) == 0
+        anova = read_rows(tmp_path / "out" / "anova.csv")
+        assert anova[1] == ["system_vs_human", "", "", "", "", ""]
+        stats = read_rows(tmp_path / "out" / "stats.csv")
+        assert all(cell != "" for row in stats[1:] for cell in row[:3])
+        assert warnings_in(capsys) == [
+            "warning: too few students (2) for the ANOVA; anova.csv cells left empty"
+        ]
+        assert len(read_rows(tmp_path / "out" / "evaluation.csv")) == 3
+
+    def test_evaluate_one_student_leaves_std_and_cv_empty(self, tmp_path, capsys):
+        args = one_question_args(tmp_path, STUDENTS[:1])
+        assert main(["evaluate", *args]) == 0
+        stats = read_rows(tmp_path / "out" / "stats.csv")
+        assert stats[1][0] == "system" and stats[1][2:] == ["", ""]
+        assert stats[2] == ["human", "12.0000", "", ""]
+        anova = read_rows(tmp_path / "out" / "anova.csv")
+        assert anova[1] == ["system_vs_human", "", "", "", "", ""]
+        assert warnings_in(capsys) == [
+            "warning: std and cv need at least 2 students, got 1; "
+            "std and cv left empty",
+            "warning: too few students (1) for the ANOVA; anova.csv cells left empty",
+        ]
 
 
 class TestDeterminism:

@@ -10,11 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from essayscore import (
-    EmptyInput,
-    InvalidDf,
-    LengthMismatch,
-    TooFewSubjects,
-    TooFewValues,
+    EssayScoreError,
     descriptive_stats,
     f_survival,
     repeated_measures_anova,
@@ -38,7 +34,7 @@ class TestRmse:
         assert rmse([(10.0, 8.0)]) == 2.0
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(EssayScoreError, match="rmse needs at least one pair"):
             rmse([])
 
     def test_hundred_random_lists_against_reference(self):
@@ -89,8 +85,13 @@ class TestDescriptiveStats:
         assert stats == (5.0, 0.0, 0.0)
 
     def test_too_few_values(self):
-        with pytest.raises(TooFewValues):
-            descriptive_stats([1.0])
+        # one value has a mean but no sample spread
+        stats = descriptive_stats([7.5])
+        assert stats.mean == 7.5
+        assert math.isnan(stats.std)
+        assert math.isnan(stats.cv)
+        with pytest.raises(EssayScoreError, match="need at least 1 value, got 0"):
+            descriptive_stats([])
 
     def test_zero_mean(self):
         stats = descriptive_stats([-1.0, 1.0])
@@ -147,12 +148,19 @@ class TestRepeatedMeasuresAnova:
         assert result.eta_sq == 1.0
         assert result.wilks_lambda == 0.0
 
+    def test_tiny_differences_do_not_underflow(self):
+        # d = [0, 0, 0, 0, -x]: mean -x/5, sd x/sqrt(5), so t = -1 for any x,
+        # though var(d) / n underflows to 0 for x this small
+        result = repeated_measures_anova([0.0] * 5, [0.0] * 4 + [7.667e-162])
+        assert result.f == pytest.approx(1.0, rel=1e-12)
+        assert not result.degenerate
+
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(EssayScoreError, match="differ in length: 2 vs 3"):
             repeated_measures_anova([1.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_too_few_subjects(self):
-        with pytest.raises(TooFewSubjects):
+        with pytest.raises(EssayScoreError, match="need at least 3 subjects, got 2"):
             repeated_measures_anova([1.0, 2.0], [2.0, 1.0])
 
     def test_hundred_random_datasets_against_paired_t(self):
@@ -208,9 +216,9 @@ class TestFSurvival:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_invalid_df(self):
-        with pytest.raises(InvalidDf):
+        with pytest.raises(EssayScoreError, match=r"must be >= 1, got \(0, 10\)"):
             f_survival(1.0, 0, 10)
-        with pytest.raises(InvalidDf):
+        with pytest.raises(EssayScoreError, match=r"must be >= 1, got \(1, -2\)"):
             f_survival(1.0, 1, -2)
 
     def test_negative_statistic_rejected(self):

@@ -5,15 +5,8 @@ import csv
 import pytest
 
 from essayscore import (
-    DuplicateKey,
-    EmptyId,
-    EmptyModelAnswer,
+    EssayScoreError,
     HumanGrade,
-    MalformedCsv,
-    MissingFile,
-    MultiTokenEntry,
-    NegativeScore,
-    NegativeWeight,
     QuestionSpec,
     RawEssay,
     load_answers,
@@ -43,7 +36,7 @@ class TestLoadAnswers:
             tmp_path / "a.csv",
             "student_id,question_id,answer_text\ns1,q1,a\ns1,q1,b\n",
         )
-        with pytest.raises(DuplicateKey):
+        with pytest.raises(EssayScoreError, match="line 3: duplicate answer"):
             load_answers(p)
 
     def test_header_only_is_empty_corpus(self, tmp_path):
@@ -56,21 +49,21 @@ class TestLoadAnswers:
 
     def test_empty_id_rejected(self, tmp_path):
         p = write(tmp_path / "a.csv", "student_id,question_id,answer_text\n,q1,x\n")
-        with pytest.raises(EmptyId):
+        with pytest.raises(EssayScoreError, match="line 2: empty student_id"):
             load_answers(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFile):
+        with pytest.raises(EssayScoreError, match="input file not found"):
             load_answers(tmp_path / "none.csv")
 
     def test_wrong_header(self, tmp_path):
         p = write(tmp_path / "a.csv", "sid,qid,text\ns1,q1,x\n")
-        with pytest.raises(MalformedCsv):
+        with pytest.raises(EssayScoreError, match="expected header"):
             load_answers(p)
 
     def test_wrong_field_count(self, tmp_path):
         p = write(tmp_path / "a.csv", "student_id,question_id,answer_text\ns1,q1\n")
-        with pytest.raises(MalformedCsv):
+        with pytest.raises(EssayScoreError, match="line 2: expected 3 fields, got 2"):
             load_answers(p)
 
     def test_unbalanced_quote(self, tmp_path):
@@ -78,7 +71,7 @@ class TestLoadAnswers:
             tmp_path / "a.csv",
             'student_id,question_id,answer_text\ns1,q1,"abc\ns2,q2,def\n',
         )
-        with pytest.raises(MalformedCsv):
+        with pytest.raises(EssayScoreError, match="unexpected end of data"):
             load_answers(p)
 
     def test_crlf_accepted(self, tmp_path):
@@ -102,7 +95,7 @@ class TestLoadModel:
 
     def test_negative_weight(self, tmp_path):
         p = write(tmp_path / "m.csv", "question_id,model_answer,weight\nq1,x,-5\n")
-        with pytest.raises(NegativeWeight):
+        with pytest.raises(EssayScoreError, match="weight -5.0 is negative"):
             load_model(p)
 
     def test_five_questions_total_weight(self, tmp_path):
@@ -114,19 +107,19 @@ class TestLoadModel:
 
     def test_empty_model_answer(self, tmp_path):
         p = write(tmp_path / "m.csv", "question_id,model_answer,weight\nq1,,20\n")
-        with pytest.raises(EmptyModelAnswer):
+        with pytest.raises(EssayScoreError, match="empty model answer"):
             load_model(p)
 
     def test_duplicate_question(self, tmp_path):
         p = write(
             tmp_path / "m.csv", "question_id,model_answer,weight\nq1,a,20\nq1,b,30\n"
         )
-        with pytest.raises(DuplicateKey):
+        with pytest.raises(EssayScoreError, match="duplicate question 'q1'"):
             load_model(p)
 
     def test_unparseable_weight(self, tmp_path):
         p = write(tmp_path / "m.csv", "question_id,model_answer,weight\nq1,x,dua\n")
-        with pytest.raises(MalformedCsv):
+        with pytest.raises(EssayScoreError, match="weight 'dua' is not a number"):
             load_model(p)
 
 
@@ -137,7 +130,7 @@ class TestLoadGrades:
 
     def test_negative_score(self, tmp_path):
         p = write(tmp_path / "g.csv", "student_id,question_id,score\ns1,q1,-1\n")
-        with pytest.raises(NegativeScore):
+        with pytest.raises(EssayScoreError, match="score -1.0 is negative"):
             load_grades(p)
 
     def test_thirty_students_five_questions(self, tmp_path):
@@ -151,7 +144,7 @@ class TestLoadGrades:
         p = write(
             tmp_path / "g.csv", "student_id,question_id,score\ns1,q1,5\ns1,q1,6\n"
         )
-        with pytest.raises(DuplicateKey):
+        with pytest.raises(EssayScoreError, match="line 3: duplicate grade"):
             load_grades(p)
 
 
@@ -172,13 +165,13 @@ class TestLoadLexicons:
     def test_multi_token_normalization_entry(self, tmp_path):
         sp = write(tmp_path / "stop.txt", "")
         np_ = write(tmp_path / "norm.csv", 'slang,formal\n"gak tau","tidak tahu"\n')
-        with pytest.raises(MultiTokenEntry):
+        with pytest.raises(EssayScoreError, match="'gak tau' must be a single"):
             load_lexicons(sp, np_)
 
     def test_multi_token_stopword(self, tmp_path):
         sp = write(tmp_path / "stop.txt", "yang dan\n")
         np_ = write(tmp_path / "norm.csv", "slang,formal\n")
-        with pytest.raises(MultiTokenEntry):
+        with pytest.raises(EssayScoreError, match="line 1: 'yang dan' must be a single"):
             load_lexicons(sp, np_)
 
     def test_entries_case_folded(self, tmp_path):
@@ -187,6 +180,35 @@ class TestLoadLexicons:
         lex = load_lexicons(sp, np_)
         assert lex.stopwords == {"yang"}
         assert lex.normalization == {"gak": "tidak"}
+
+
+class TestPathInMessages:
+    """Every diagnostic names its file the same way, as a normalized Path."""
+
+    @pytest.mark.parametrize(
+        "loader, name, text",
+        [
+            (load_answers, "a.csv", "student_id,question_id,answer_text\ns1,q1,a\ns1,q1,b\n"),
+            (load_model, "m.csv", "question_id,model_answer,weight\nq1,x,dua\nq2,y,1\n"),
+            (load_grades, "g.csv", "student_id,question_id,score\ns1,q1,5\ns1,q1,x\n"),
+        ],
+        ids=["answers", "model", "grades"],
+    )
+    def test_row_error(self, tmp_path, loader, name, text):
+        write(tmp_path / name, text)
+        with pytest.raises(EssayScoreError) as exc:
+            loader(f"{tmp_path}//./{name}")
+        assert str(exc.value).startswith(f"{tmp_path / name}: line ")
+        with pytest.raises(EssayScoreError, match="input file not found") as exc:
+            loader(f"{tmp_path}//./absent.csv")
+        assert str(exc.value).endswith(str(tmp_path / "absent.csv"))
+
+    def test_lexicon_error(self, tmp_path):
+        write(tmp_path / "stop.txt", "")
+        write(tmp_path / "norm.csv", 'slang,formal\n"gak tau",tidak\n')
+        with pytest.raises(EssayScoreError) as exc:
+            load_lexicons(f"{tmp_path}//./stop.txt", f"{tmp_path}//./norm.csv")
+        assert str(exc.value).startswith(f"{tmp_path / 'norm.csv'}: line 2: ")
 
 
 class TestRoundTrip:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from essayscore import InvalidN, extract_ngrams
+from essayscore import EssayScoreError, extract_ngrams
 
 tokens_strategy = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=5), max_size=50
@@ -33,7 +33,7 @@ def test_sequence_shorter_than_n():
 
 @pytest.mark.parametrize("n", [0, 4, -1, 100])
 def test_invalid_n(n):
-    with pytest.raises(InvalidN):
+    with pytest.raises(EssayScoreError, match="n-gram size must be one of"):
         extract_ngrams(["a", "b"], n)
 
 

@@ -1,0 +1,36 @@
+"""Each ```python block in README.md runs to completion against src/."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$",
+    (ROOT / "README.md").read_text(encoding="utf-8"),
+    flags=re.MULTILINE | re.DOTALL,
+)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_block_exits_0(code):
+    pythonpath = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -6,15 +6,14 @@ import pytest
 
 from essayscore import scoring
 from essayscore import (
+    EssayScoreError,
     Lexicons,
-    QuestionMismatch,
     QuestionSpec,
     RawEssay,
     ScoreRecord,
     StudentScore,
     aggregate_totals,
     score_corpus,
-    score_question,
 )
 
 EMPTY = Lexicons()
@@ -24,12 +23,20 @@ def make_question(weight=20.0, text="pancasila dasar negara indonesia"):
     return QuestionSpec("q1", text, weight)
 
 
+def score_one(answer, question, peers, metric="cosine", n=1):
+    """The record of ``answer`` when its question's answers are scored."""
+    records = score_corpus(peers, [question], EMPTY, metric=metric, n=n)
+    return next(r for r in records if r.student_id == answer.student_id)
+
+
 class TestScoreQuestion:
+    """Values for one question's answers, scored through score_corpus."""
+
     def test_identical_answer_earns_full_weight(self):
         question = make_question(weight=20.0)
         answer = RawEssay("s1", "q1", question.model_answer)
         peers = [answer, RawEssay("s2", "q1", "tidak tahu")]
-        record = score_question(answer, question, peers, EMPTY, metric="cosine", n=1)
+        record = score_one(answer, question, peers, metric="cosine", n=1)
         assert record.similarity == pytest.approx(1.0, abs=1e-12)
         assert record.points == pytest.approx(20.0, abs=1e-9)
 
@@ -38,7 +45,7 @@ class TestScoreQuestion:
         answer = RawEssay("s1", "q1", "")
         peers = [answer, RawEssay("s2", "q1", "dasar negara")]
         for metric in ("cosine", "jaccard"):
-            record = score_question(answer, question, peers, EMPTY, metric=metric)
+            record = score_one(answer, question, peers, metric=metric)
             assert record.similarity == 0.0
             assert record.points == 0.0
 
@@ -50,7 +57,7 @@ class TestScoreQuestion:
         question = QuestionSpec("q1", "ibu kota indonesia jakarta", 10.0)
         answer = RawEssay("s1", "q1", "jakarta ibu kota")
         peers = [answer, RawEssay("s2", "q1", "indonesia jakarta")]
-        record = score_question(answer, question, peers, EMPTY, metric="cosine", n=1)
+        record = score_one(answer, question, peers, metric="cosine", n=1)
         assert record.similarity == pytest.approx(0.8164965809277261, abs=1e-12)
         assert record.similarity == pytest.approx(2 / math.sqrt(6), abs=1e-12)
         assert record.points == pytest.approx(8.16496580927726, abs=1e-12)
@@ -60,65 +67,20 @@ class TestScoreQuestion:
         question = QuestionSpec("q1", "ibu kota indonesia jakarta", 10.0)
         answer = RawEssay("s1", "q1", "jakarta ibu kota")
         peers = [answer, RawEssay("s2", "q1", "indonesia jakarta")]
-        record = score_question(answer, question, peers, EMPTY, metric="jaccard", n=1)
+        record = score_one(answer, question, peers, metric="jaccard", n=1)
         assert record.similarity == pytest.approx(2 / 3, abs=1e-12)
         assert record.points == pytest.approx(20 / 3, abs=1e-12)
-
-    def test_scored_answer_added_to_pool_when_absent(self):
-        question = QuestionSpec("q1", "ibu kota indonesia jakarta", 10.0)
-        answer = RawEssay("s1", "q1", "jakarta ibu kota")
-        others_only = [RawEssay("s2", "q1", "indonesia jakarta")]
-        with_self = [answer] + others_only
-        assert score_question(
-            answer, question, others_only, EMPTY
-        ) == score_question(answer, question, with_self, EMPTY)
-
-    def test_question_mismatch(self):
-        question = make_question()
-        with pytest.raises(QuestionMismatch):
-            score_question(RawEssay("s1", "q2", "x"), question, [], EMPTY)
-
-    def test_peer_question_mismatch(self):
-        question = make_question()
-        answer = RawEssay("s1", "q1", "x")
-        with pytest.raises(QuestionMismatch):
-            score_question(answer, question, [RawEssay("s2", "q9", "y")], EMPTY)
-        # a peer with the answer's own id replaces it in the pool
-        with pytest.raises(QuestionMismatch):
-            score_question(answer, question, [RawEssay("s1", "q9", "y")], EMPTY)
 
     def test_doubling_weight_doubles_points(self):
         answer = RawEssay("s1", "q1", "dasar negara")
         peers = [answer, RawEssay("s2", "q1", "pancasila")]
-        single = score_question(answer, make_question(weight=10.0), peers, EMPTY)
-        double = score_question(answer, make_question(weight=20.0), peers, EMPTY)
+        single = score_one(answer, make_question(weight=10.0), peers)
+        double = score_one(answer, make_question(weight=20.0), peers)
         assert double.similarity == single.similarity
         assert double.points == pytest.approx(2 * single.points, abs=1e-12)
 
 
 class TestScoreCorpus:
-    def test_matches_per_answer_scoring(self, corpus):
-        answers, questions, _, lexicons = corpus
-        for metric in ("cosine", "jaccard"):
-            for n in (1, 2, 3):
-                batch = score_corpus(
-                    answers, questions, lexicons, metric=metric, n=n
-                )
-                spec_by_id = {q.question_id: q for q in questions}
-                for answer, record in zip(answers, batch):
-                    peers = [
-                        a for a in answers if a.question_id == answer.question_id
-                    ]
-                    single = score_question(
-                        answer,
-                        spec_by_id[answer.question_id],
-                        peers,
-                        lexicons,
-                        metric=metric,
-                        n=n,
-                    )
-                    assert record == single
-
     def test_bit_identical_across_runs(self, corpus):
         answers, questions, _, lexicons = corpus
         first = score_corpus(answers, questions, lexicons, metric="cosine", n=2)
@@ -126,7 +88,7 @@ class TestScoreCorpus:
         assert first == second
 
     def test_unknown_question_rejected(self):
-        with pytest.raises(QuestionMismatch):
+        with pytest.raises(EssayScoreError, match="unknown question 'q9'"):
             score_corpus(
                 [RawEssay("s1", "q9", "x")], [make_question()], EMPTY
             )

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from essayscore import (
-    EmptyCorpus,
+    EssayScoreError,
     Vocabulary,
     cosine_similarity,
     fit_vocabulary,
@@ -51,7 +51,7 @@ class TestFitVocabulary:
         assert vocab.idf["a"] == 0.0
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(EssayScoreError, match="over zero documents"):
             fit_vocabulary([])
 
     def test_empty_documents_count_toward_corpus_size(self):
