@@ -9,30 +9,33 @@ two lexicon files) and write CSV reports into an output directory:
   stdout covering all six (metric, n-gram) combinations
 
 Diagnostics go to stderr; data goes to files (the compare table being the
-one deliberate exception). Output rows are sorted so repeated runs over
-the same inputs are byte-identical. Exit status is 0 on success, 1 for
-input-data problems, 2 for bad command-line usage.
+one deliberate exception), written all or none. Output rows are sorted so
+repeated runs over the same inputs are byte-identical. Exit status is 0 on
+success, 1 for bad input data or an unwritable output, 2 for bad usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .errors import EssayScoreError
 from .evaluation import EvaluationReport, build_report
-from .ingest import load_answers, load_grades, load_lexicons, load_model
+from .ingest import HumanGrade, load_answers, load_grades, load_lexicons, load_model
 from .ngrams import VALID_NGRAM_SIZES
-from .scoring import aggregate_totals, score_corpus
+from .scoring import ScoreRecord, aggregate_totals, score_corpus
 from .similarity import SIMILARITY_METRICS
 
 METRIC_CHOICES = tuple(sorted(SIMILARITY_METRICS))
 DEFAULT_METRIC = "cosine"
 DEFAULT_NGRAM = 1
+OutputFiles = dict[str, tuple[Sequence[str], Sequence[Sequence[str]]]]  # name -> (header, rows)
 
 
 def _load_corpus(args: argparse.Namespace):
@@ -42,58 +45,69 @@ def _load_corpus(args: argparse.Namespace):
     return essays, questions, lexicons
 
 
-def _write_rows(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_outputs(out: Path, files: OutputFiles) -> None:
+    """Write every file to a temporary name in ``out``, then move each into place.
+
+    A target that is a directory fails the run before any file is replaced.
+    """
+    temps = {name: out / f".{name}.{os.getpid()}.tmp" for name in files}
+    try:
+        for name, (header, rows) in files.items():
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+            with open(temps[name], "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        for name, temp in temps.items():
+            os.replace(temp, out / name)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace) -> OutputFiles:
     essays, questions, lexicons = _load_corpus(args)
     records = score_corpus(essays, questions, lexicons, metric=args.metric, n=args.ngram)
-    args.out.mkdir(parents=True, exist_ok=True)
-
     score_rows = sorted(
         (r.student_id, r.question_id, f"{r.similarity:.4f}", f"{r.points:.2f}")
         for r in records
     )
-    _write_rows(
-        args.out / "scores.csv",
-        ["student_id", "question_id", "similarity", "points"],
-        score_rows,
-    )
     total_rows = sorted(
         (t.student_id, f"{t.total:.2f}") for t in aggregate_totals(records)
     )
-    _write_rows(args.out / "totals.csv", ["student_id", "total"], total_rows)
-    return 0
+    return {
+        "scores.csv": (["student_id", "question_id", "similarity", "points"], score_rows),
+        "totals.csv": (["student_id", "total"], total_rows),
+    }
 
 
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _evaluate(corpus, grades, metric: str, ngram: int) -> EvaluationReport:
-    essays, questions, lexicons = corpus
-    records = score_corpus(essays, questions, lexicons, metric=metric, n=ngram)
-    return build_report(records, grades)
-
-
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _warn_unmatched(report: EvaluationReport) -> None:
+def _report(
+    records: Sequence[ScoreRecord], grades: Sequence[HumanGrade], grades_path: Path
+) -> EvaluationReport:
+    """``build_report``; no grade row matching a record is an error, unmatched rows a warning."""
+    scored = {(r.student_id, r.question_id) for r in records}
+    if not any((g.student_id, g.question_id) in scored for g in grades):
+        raise EssayScoreError(f"{grades_path}: no grade row matches a scored answer")
+    report = build_report(records, grades)
     if report.unmatched_grades:
         _warn(
             f"skipped {report.unmatched_grades} grade row(s) "
             f"referencing unknown students or unanswered questions"
         )
+    return report
 
 
 def _rmse_rows(report: EvaluationReport, metric: str, ngram: int) -> list[tuple[str, str, str, str]]:
@@ -128,16 +142,13 @@ def _stats_rows(report: EvaluationReport) -> list[tuple[str, ...]]:
     ]
 
 
-def _write_evaluation_files(args: argparse.Namespace, report: EvaluationReport) -> None:
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_rows(
-        args.out / "evaluation.csv",
-        ["question_id", "metric", "ngram", "rmse"],
-        sorted(_rmse_rows(report, args.metric, args.ngram)),
-    )
-    _write_rows(
-        args.out / "stats.csv", ["source", "mean", "std", "cv"], _stats_rows(report)
-    )
+def cmd_evaluate(args: argparse.Namespace) -> OutputFiles:
+    essays, questions, lexicons = _load_corpus(args)
+    grades = load_grades(args.grades)
+    records = score_corpus(essays, questions, lexicons, metric=args.metric, n=args.ngram)
+    report = _report(records, grades, args.grades)
+    rmse_rows = sorted(_rmse_rows(report, args.metric, args.ngram))
+    stats_rows = _stats_rows(report)
     anova = report.anova
     if anova is None:
         _warn(
@@ -153,19 +164,14 @@ def _write_evaluation_files(args: argparse.Namespace, report: EvaluationReport) 
             f"{anova.eta_sq:.6g}",
             str(anova.df_error),
         )
-    _write_rows(
-        args.out / "anova.csv",
-        ["comparison", "f", "wilks_lambda", "p", "eta_sq", "df_error"],
-        [("system_vs_human", *cells)],
-    )
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
-    report = _evaluate(corpus, load_grades(args.grades), args.metric, args.ngram)
-    _warn_unmatched(report)
-    _write_evaluation_files(args, report)
-    return 0
+    return {
+        "evaluation.csv": (["question_id", "metric", "ngram", "rmse"], rmse_rows),
+        "stats.csv": (["source", "mean", "std", "cv"], stats_rows),
+        "anova.csv": (
+            ["comparison", "f", "wilks_lambda", "p", "eta_sq", "df_error"],
+            [("system_vs_human", *cells)],
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -197,26 +203,22 @@ def _print_grid(rows: list[tuple[str, str, str, str]]) -> None:
         print(f"  {metric:<10}{value}  (question {qid}, n={ngram})")
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
+def cmd_compare(args: argparse.Namespace) -> OutputFiles:
+    essays, questions, lexicons = _load_corpus(args)
     grades = load_grades(args.grades)
     all_rows: list[tuple[str, str, str, str]] = []
     for metric in METRIC_CHOICES:
         for ngram in VALID_NGRAM_SIZES:
-            report = _evaluate(corpus, grades, metric, ngram)
-            if not all_rows:
-                # unmatched grades depend only on the keys, not on the cell
-                _warn_unmatched(report)
+            records = score_corpus(essays, questions, lexicons, metric=metric, n=ngram)
+            if all_rows:
+                report = build_report(records, grades)
+            else:  # grade matching depends only on the keys, not on the cell
+                report = _report(records, grades, args.grades)
             all_rows.extend(_rmse_rows(report, metric, ngram))
+            del records  # free this cell's records before the next cell is scored
     all_rows.sort()
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_rows(
-        args.out / "compare.csv",
-        ["question_id", "metric", "ngram", "rmse"],
-        all_rows,
-    )
     _print_grid(all_rows)
-    return 0
+    return {"compare.csv": (["question_id", "metric", "ngram", "rmse"], all_rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +278,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        files = args.handler(args)
     except EssayScoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        _write_outputs(args.out, files)
+    except OSError as exc:  # os.replace names its target second
+        print(f"error: {exc.filename2 or exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

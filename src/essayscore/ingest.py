@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,21 +68,32 @@ class Lexicons:
     normalization: dict[str, str] = field(default_factory=dict)
 
 
-def _data_rows(path: Path, header: list[str]) -> list[list[str]]:
-    """Read a CSV file, check its header, and return the data rows."""
+@contextmanager
+def _open_input(path: Path):
+    """Open an input file as UTF-8 text; a fault reading it raises an error naming it."""
     if not path.is_file():
         raise EssayScoreError(f"input file not found: {path}")
     # the csv module's default limit of 131,072 characters per field would
-    # reject a long but legal essay; 2**31 - 1 is the largest C long on
-    # every platform
-    csv.field_size_limit(2**31 - 1)
+    # reject a long but legal essay (2**31 - 1 is the largest C long on every
+    # platform); the limit is process-wide, so the caller's is restored
+    old_limit = csv.field_size_limit(2**31 - 1)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh, strict=True))
+            yield fh
     except csv.Error as exc:
         raise EssayScoreError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise EssayScoreError(f"{path}: not valid UTF-8 ({exc})") from exc
+    except OSError as exc:
+        raise EssayScoreError(f"{path}: {exc.strerror}") from exc
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+def _data_rows(path: Path, header: list[str]) -> list[list[str]]:
+    """Read a CSV file, check its header, and return the data rows."""
+    with _open_input(path) as fh:
+        rows = list(csv.reader(fh, strict=True))
     if not rows or rows[0] != header:
         raise EssayScoreError(
             f"{path}: expected header {','.join(header)!r}, "
@@ -186,10 +198,8 @@ def load_lexicons(stopword_path: str | Path, normalization_path: str | Path) -> 
     """
     stopword_path = Path(stopword_path)
     normalization_path = Path(normalization_path)
-    if not stopword_path.is_file():
-        raise EssayScoreError(f"input file not found: {stopword_path}")
     stopwords: set[str] = set()
-    with open(stopword_path, encoding="utf-8-sig") as fh:
+    with _open_input(stopword_path) as fh:
         for i, line in enumerate(fh, start=1):
             entry = line.strip()
             if not entry or entry.startswith("#"):

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import EssayScoreError
 from .ingest import Lexicons, QuestionSpec, RawEssay
-from .ngrams import extract_ngrams
+from .ngrams import VALID_NGRAM_SIZES, extract_ngrams
 from .preprocess import preprocess_pipeline
 from .similarity import SIMILARITY_METRICS
 from .vsm import fit_vocabulary, transform
@@ -55,6 +55,11 @@ def score_corpus(
     preprocessed once: a question's gram lists feed both its vocabulary fit
     and its transforms, and are released before the next question.
     """
+    similarity = SIMILARITY_METRICS.get(metric)
+    if similarity is None:
+        raise EssayScoreError(f"metric must be one of {tuple(SIMILARITY_METRICS)}, got {metric!r}")
+    if n not in VALID_NGRAM_SIZES:
+        raise EssayScoreError(f"n-gram size must be one of {VALID_NGRAM_SIZES}, got {n!r}")
     specs = {q.question_id: q for q in questions}
     by_question: dict[str, list[int]] = {}
     for i, answer in enumerate(answers):
@@ -72,7 +77,6 @@ def score_corpus(
         docs = [extract_ngrams(preprocess_pipeline(t, lexicons), n) for t in texts]
         vocab = fit_vocabulary(docs, log_base=log_base)
         q_vec = transform(docs[0], vocab)
-        similarity = SIMILARITY_METRICS[metric]
         for i, grams in zip(indices, docs[1:]):
             sim = similarity(transform(grams, vocab), q_vec)
             answer = answers[i]

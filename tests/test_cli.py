@@ -1,6 +1,8 @@
 """CLI behaviour: golden outputs, exit codes, grid consistency, determinism."""
 
 import csv
+import errno
+import os
 
 import pytest
 
@@ -408,6 +410,80 @@ class TestFewerThanThreeStudents:
             "std and cv left empty",
             "warning: too few students (1) for the ANOVA; anova.csv cells left empty",
         ]
+
+
+def tree(root):
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {
+        p.relative_to(root): None if p.is_dir() else p.read_bytes()
+        for p in sorted(root.rglob("*"))
+    }
+
+
+class TestFileBoundary:
+    """Bad input is one error line and no --out; a failed write changes no file."""
+
+    @pytest.mark.parametrize("command", ["score", "evaluate", "compare"])
+    def test_non_utf8_stopwords_exit_1_without_creating_out(
+        self, data_dir, tmp_path, capsys, command
+    ):
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_bytes("café\n".encode("latin-1"))
+        args = cli_args(data_dir, tmp_path / "out", grades=command != "score")
+        args[args.index("--stopwords") + 1] = str(stopwords)
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stopwords}: not valid UTF-8 (")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_grades_matching_no_answer_exit_1_without_creating_out(
+        self, data_dir, tmp_path, capsys, command
+    ):
+        grades = tmp_path / "grades.csv"
+        grades.write_text("student_id,question_id,score\ns9,q1,5\n", encoding="utf-8")
+        args = cli_args(data_dir, tmp_path / "out")
+        assert main([command, "--grades", str(grades), *args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {grades}: no grade row matches a scored answer\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["score", "evaluate", "compare"])
+    def test_out_that_is_a_file_exits_1(self, data_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_text("keep\n", encoding="utf-8")
+        assert main([command, *cli_args(data_dir, out, grades=command != "score")]) == 1
+        assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.EEXIST)}\n"
+        assert out.read_text(encoding="utf-8") == "keep\n"
+
+    def test_directory_target_changes_nothing(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "anova.csv").mkdir(parents=True)
+        (out / "evaluation.csv").write_text("old\n", encoding="utf-8")
+        before = tree(out)
+        assert main(["evaluate", *cli_args(data_dir, out, grades=True)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'anova.csv'}: {os.strerror(errno.EISDIR)}\n"
+        )
+        assert tree(out) == before
+
+    def test_failed_replace_names_target_and_leaves_no_temporary(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(src, dst):
+            raise PermissionError(
+                errno.EACCES, os.strerror(errno.EACCES), str(src), None, str(dst)
+            )
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        out = tmp_path / "out"
+        assert main(["score", *cli_args(data_dir, out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'scores.csv'}: {os.strerror(errno.EACCES)}\n"
+        )
+        assert tree(out) == {}
 
 
 class TestDeterminism:

@@ -74,6 +74,19 @@ class TestLoadAnswers:
         with pytest.raises(EssayScoreError, match="unexpected end of data"):
             load_answers(p)
 
+    def test_csv_field_size_limit_restored(self, data_dir, tmp_path):
+        # the limit is process-wide; loading must leave the caller's in place
+        bad = write(tmp_path / "a.csv", 'student_id,question_id,answer_text\ns1,q1,"x\n')
+        old = csv.field_size_limit(12345)
+        try:
+            load_answers(data_dir / "answers.csv")
+            assert csv.field_size_limit() == 12345
+            with pytest.raises(EssayScoreError):
+                load_answers(bad)
+            assert csv.field_size_limit() == 12345
+        finally:
+            csv.field_size_limit(old)
+
     def test_crlf_accepted(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_bytes(b"student_id,question_id,answer_text\r\ns1,q1,halo\r\n")
@@ -172,6 +185,13 @@ class TestLoadLexicons:
         sp = write(tmp_path / "stop.txt", "yang dan\n")
         np_ = write(tmp_path / "norm.csv", "slang,formal\n")
         with pytest.raises(EssayScoreError, match="line 1: 'yang dan' must be a single"):
+            load_lexicons(sp, np_)
+
+    def test_non_utf8_stopwords(self, tmp_path):
+        sp = tmp_path / "stop.txt"
+        sp.write_bytes("café\n".encode("latin-1"))
+        np_ = write(tmp_path / "norm.csv", "slang,formal\n")
+        with pytest.raises(EssayScoreError, match="not valid UTF-8"):
             load_lexicons(sp, np_)
 
     def test_entries_case_folded(self, tmp_path):

@@ -93,6 +93,19 @@ class TestScoreCorpus:
                 [RawEssay("s1", "q9", "x")], [make_question()], EMPTY
             )
 
+    @pytest.mark.parametrize("answers", [[], [RawEssay("s1", "q1", "x")]], ids=["empty", "one"])
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"metric": "dice"}, r"metric must be one of \('cosine', 'jaccard'\), got 'dice'"),
+            ({"n": 4}, r"n-gram size must be one of \(1, 2, 3\), got 4"),
+        ],
+        ids=["metric", "n"],
+    )
+    def test_bad_metric_or_n_rejected(self, answers, config, message):
+        with pytest.raises(EssayScoreError, match=message):
+            score_corpus(answers, [make_question()], EMPTY, **config)
+
     def test_perfect_student_scores_sum_of_weights(self, corpus):
         answers, questions, _, lexicons = corpus
         perfect = [
