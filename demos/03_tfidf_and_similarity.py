@@ -24,9 +24,10 @@ for name, doc in zip(("model", "student_a", "student_b"), docs):
     print(f"  {name:<10} {doc}")
 
 vocab = fit_vocabulary(docs)
-print(f"\nvocabulary over {vocab.corpus_size} documents (df and idf per term):")
-for term in sorted(vocab.df):
-    print(f"  {term:<10} df={vocab.df[term]}  idf={vocab.idf[term]:.4f}")
+print(f"\nvocabulary over {len(docs)} documents (df and idf per term):")
+for term in sorted(vocab.idf):
+    df = sum(term in doc for doc in docs)
+    print(f"  {term:<10} df={df}  idf={vocab.idf[term]:.4f}")
 print("  note: 'jakarta' appears in every document, so its idf is 0 and it")
 print("  carries no weight anywhere.")
 

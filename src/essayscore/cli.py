@@ -8,10 +8,11 @@ two lexicon files) and write CSV reports into an output directory:
 * ``compare``  -> ``compare.csv`` plus an aligned per-question table on
   stdout covering all six (metric, n-gram) combinations
 
-Diagnostics go to stderr; data goes to files (the compare table being the
-one deliberate exception), written all or none. Output rows are sorted so
-repeated runs over the same inputs are byte-identical. Exit status is 0 on
-success, 1 for bad input data or an unwritable output, 2 for bad usage.
+Diagnostics go to stderr; data goes to files (the compare table, printed
+once its file is written, being the one deliberate exception), written all
+or none. Output rows are sorted so repeated runs over the same inputs are
+byte-identical. Exit status is 0 on success, 1 for bad input data or an
+unwritable output, 2 for bad usage.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from typing import Sequence
 
 from .errors import EssayScoreError
 from .evaluation import EvaluationReport, build_report
-from .ingest import HumanGrade, load_answers, load_grades, load_lexicons, load_model
+from .ingest import HumanGrade, RawEssay, load_answers, load_grades, load_lexicons, load_model
 from .ngrams import VALID_NGRAM_SIZES
-from .scoring import ScoreRecord, aggregate_totals, score_corpus
+from .scoring import aggregate_totals, score_corpus
 from .similarity import SIMILARITY_METRICS
 
 METRIC_CHOICES = tuple(sorted(SIMILARITY_METRICS))
@@ -94,20 +95,23 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _report(
-    records: Sequence[ScoreRecord], grades: Sequence[HumanGrade], grades_path: Path
-) -> EvaluationReport:
-    """``build_report``; no grade row matching a record is an error, unmatched rows a warning."""
-    scored = {(r.student_id, r.question_id) for r in records}
-    if not any((g.student_id, g.question_id) in scored for g in grades):
-        raise EssayScoreError(f"{grades_path}: no grade row matches a scored answer")
-    report = build_report(records, grades)
-    if report.unmatched_grades:
+def _answered_grades(args: argparse.Namespace, essays: Sequence[RawEssay]) -> list[HumanGrade]:
+    """Load the grades and keep the rows whose (student, question) was answered.
+
+    Keeping none is an error naming the grades file; the rows dropped are
+    counted in one warning.
+    """
+    grades = load_grades(args.grades)
+    answered = {(e.student_id, e.question_id) for e in essays}
+    kept = [g for g in grades if (g.student_id, g.question_id) in answered]
+    if not kept:
+        raise EssayScoreError(f"{args.grades}: no grade row matches a scored answer")
+    if len(kept) < len(grades):
         _warn(
-            f"skipped {report.unmatched_grades} grade row(s) "
+            f"skipped {len(grades) - len(kept)} grade row(s) "
             f"referencing unknown students or unanswered questions"
         )
-    return report
+    return kept
 
 
 def _rmse_rows(report: EvaluationReport, metric: str, ngram: int) -> list[tuple[str, str, str, str]]:
@@ -144,9 +148,9 @@ def _stats_rows(report: EvaluationReport) -> list[tuple[str, ...]]:
 
 def cmd_evaluate(args: argparse.Namespace) -> OutputFiles:
     essays, questions, lexicons = _load_corpus(args)
-    grades = load_grades(args.grades)
+    grades = _answered_grades(args, essays)
     records = score_corpus(essays, questions, lexicons, metric=args.metric, n=args.ngram)
-    report = _report(records, grades, args.grades)
+    report = build_report(records, grades)
     rmse_rows = sorted(_rmse_rows(report, args.metric, args.ngram))
     stats_rows = _stats_rows(report)
     anova = report.anova
@@ -205,19 +209,14 @@ def _print_grid(rows: list[tuple[str, str, str, str]]) -> None:
 
 def cmd_compare(args: argparse.Namespace) -> OutputFiles:
     essays, questions, lexicons = _load_corpus(args)
-    grades = load_grades(args.grades)
+    grades = _answered_grades(args, essays)
     all_rows: list[tuple[str, str, str, str]] = []
     for metric in METRIC_CHOICES:
         for ngram in VALID_NGRAM_SIZES:
             records = score_corpus(essays, questions, lexicons, metric=metric, n=ngram)
-            if all_rows:
-                report = build_report(records, grades)
-            else:  # grade matching depends only on the keys, not on the cell
-                report = _report(records, grades, args.grades)
-            all_rows.extend(_rmse_rows(report, metric, ngram))
+            all_rows.extend(_rmse_rows(build_report(records, grades), metric, ngram))
             del records  # free this cell's records before the next cell is scored
     all_rows.sort()
-    _print_grid(all_rows)
     return {"compare.csv": (["question_id", "metric", "ngram", "rmse"], all_rows)}
 
 
@@ -288,6 +287,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:  # os.replace names its target second
         print(f"error: {exc.filename2 or exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
         return 1
+    if args.command == "compare":
+        _print_grid(files["compare.csv"][1])
     return 0
 
 

@@ -63,20 +63,24 @@ def descriptive_stats(values: Sequence[float]) -> DescriptiveStats:
     n = len(values)
     if n == 0:
         raise EssayScoreError("need at least 1 value, got 0")
-    mean = math.fsum(values) / n
+    # dividing by a power of two near the largest magnitude is exact, and keeps
+    # the sums and squares below from overflowing
+    scale = math.ldexp(1.0, math.frexp(max(map(abs, values)))[1] - 1)
+    scaled = [x / scale for x in values]
+    mean = math.fsum(scaled) / n
     if n == 1:
-        return DescriptiveStats(mean=mean, std=math.nan, cv=math.nan)
-    std = math.sqrt(math.fsum((x - mean) ** 2 for x in values) / (n - 1))
+        return DescriptiveStats(mean=mean * scale, std=math.nan, cv=math.nan)
+    std = math.sqrt(math.fsum((x - mean) ** 2 for x in scaled) / (n - 1))
     cv = std / mean * 100.0 if mean != 0.0 else math.nan
-    return DescriptiveStats(mean=mean, std=std, cv=cv)
+    return DescriptiveStats(mean=mean * scale, std=std * scale, cv=cv)
 
 
 @dataclass(frozen=True)
 class AnovaResult:
     """Two-condition repeated-measures ANOVA outcome.
 
-    ``degenerate`` flags the edge case where every paired difference is
-    identical but non-zero, which sends F to infinity and p to 0.
+    When every paired difference is identical but non-zero, F is infinite
+    and p is 0.
     """
 
     f: float
@@ -84,7 +88,6 @@ class AnovaResult:
     eta_sq: float
     wilks_lambda: float
     df_error: int
-    degenerate: bool = False
 
 
 def repeated_measures_anova(a: Sequence[float], b: Sequence[float]) -> AnovaResult:
@@ -110,7 +113,7 @@ def repeated_measures_anova(a: Sequence[float], b: Sequence[float]) -> AnovaResu
     mean_d = math.fsum(diffs) / n
     var_d = math.fsum((d - mean_d) ** 2 for d in diffs) / (n - 1)
     if var_d == 0.0:
-        return AnovaResult(math.inf, 0.0, 1.0, 0.0, df_error, degenerate=True)
+        return AnovaResult(math.inf, 0.0, 1.0, 0.0, df_error)
     t = mean_d / math.sqrt(var_d / n)
     f = t * t
     eta_sq = f / (f + df_error)
@@ -216,9 +219,7 @@ class EvaluationReport:
     student; per-question and overall RMSE, descriptive statistics for both
     graders, and the two-condition ANOVA are all derived from the matched
     (student, question) pairs; ``anova`` is ``None`` when fewer than 3
-    students are matched. ``unmatched_grades`` counts grade rows that
-    referenced an unknown student or an unanswered question and were
-    skipped.
+    students are matched.
     """
 
     per_question: dict[str, float]
@@ -227,7 +228,6 @@ class EvaluationReport:
     system_stats: DescriptiveStats
     human_stats: DescriptiveStats
     anova: AnovaResult | None
-    unmatched_grades: int
 
 
 def build_report(
@@ -240,19 +240,13 @@ def build_report(
     the same answers.
     """
     scored = {(r.student_id, r.question_id): r for r in records}
-    matched: list[tuple[HumanGrade, ScoreRecord]] = []
-    unmatched = 0
-    for grade in grades:
-        record = scored.get((grade.student_id, grade.question_id))
-        if record is None:
-            unmatched += 1
-        else:
-            matched.append((grade, record))
-
     per_question_pairs: dict[str, list[tuple[float, float]]] = {}
     human_totals: dict[str, float] = {}
     system_totals: dict[str, float] = {}
-    for grade, record in matched:
+    for grade in grades:
+        record = scored.get((grade.student_id, grade.question_id))
+        if record is None:
+            continue
         per_question_pairs.setdefault(grade.question_id, []).append(
             (grade.score, record.points)
         )
@@ -282,5 +276,4 @@ def build_report(
             if len(totals) >= _ANOVA_MIN_SUBJECTS
             else None
         ),
-        unmatched_grades=unmatched,
     )

@@ -119,6 +119,12 @@ def _parse_number(text: str, path: Path, line: int, column: str) -> float:
     return value
 
 
+def _check_column_sum(values: list[float], path: Path, column: str) -> None:
+    """Every value is finite; a column whose total is not would overflow the totals."""
+    if math.isinf(sum(values)):
+        raise EssayScoreError(f"{path}: {column} column sums past the largest float")
+
+
 def load_answers(path: str | Path) -> list[RawEssay]:
     """Load the student answer corpus.
 
@@ -160,6 +166,7 @@ def load_model(path: str | Path) -> list[QuestionSpec]:
             )
         seen.add(question_id)
         specs.append(QuestionSpec(question_id, model_answer, weight))
+    _check_column_sum([q.weight for q in specs], path, "weight")
     return specs
 
 
@@ -179,6 +186,7 @@ def load_grades(path: str | Path) -> list[HumanGrade]:
             raise EssayScoreError(f"{path}: line {i}: duplicate grade for {key}")
         seen.add(key)
         grades.append(HumanGrade(student_id, question_id, score))
+    _check_column_sum([g.score for g in grades], path, "score")
     return grades
 
 

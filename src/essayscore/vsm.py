@@ -2,10 +2,10 @@
 
 Term frequency is a term's count divided by the document's total gram
 count, so every non-empty document's frequencies sum to one. Inverse
-document frequency is log(corpus_size / document_frequency); the log base
-defaults to natural log and is configurable, which only rescales every
-weight by the same positive constant and therefore cannot change cosine
-or Jaccard similarity downstream.
+document frequency is log(N / df) over N documents, df of which hold the
+term; the log base defaults to natural log and is configurable, which only
+rescales every weight by the same positive constant and therefore cannot
+change cosine or Jaccard similarity downstream.
 
 Vectors are sparse dicts: a term carries an entry only when its weight is
 strictly positive, so terms appearing in every document (idf 0) and terms
@@ -27,10 +27,8 @@ TermVector = dict[str, float]
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Document frequencies and idf values fitted over one corpus."""
+    """The idf of every term in one fitted corpus."""
 
-    corpus_size: int
-    df: dict[str, int]
     idf: dict[str, float]
 
 
@@ -43,7 +41,7 @@ def term_frequency(grams: NGramProfile) -> dict[str, float]:
 
 
 def fit_vocabulary(docs: list[NGramProfile], log_base: float = math.e) -> Vocabulary:
-    """Fit document frequencies and idf over a collection of gram profiles.
+    """Fit the idf of every term over a collection of gram profiles.
 
     Individual documents may be empty (they still count toward the corpus
     size); the collection itself must not be.
@@ -55,7 +53,7 @@ def fit_vocabulary(docs: list[NGramProfile], log_base: float = math.e) -> Vocabu
     for grams in docs:
         df.update(set(grams))
     idf = {term: math.log(size / n_docs, log_base) for term, n_docs in df.items()}
-    return Vocabulary(corpus_size=size, df=dict(df), idf=idf)
+    return Vocabulary(idf=idf)
 
 
 def transform(grams: NGramProfile, vocab: Vocabulary) -> TermVector:

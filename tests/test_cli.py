@@ -450,12 +450,32 @@ class TestFileBoundary:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_grades_matching_no_answer_fail_before_scoring(
+        self, data_dir, tmp_path, monkeypatch, command
+    ):
+        calls = []
+        original = cli.score_corpus
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "score_corpus", counting)
+        grades = tmp_path / "grades.csv"
+        grades.write_text("student_id,question_id,score\ns9,q1,5\n", encoding="utf-8")
+        args = cli_args(data_dir, tmp_path / "out")
+        assert main([command, "--grades", str(grades), *args]) == 1
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["score", "evaluate", "compare"])
     def test_out_that_is_a_file_exits_1(self, data_dir, tmp_path, capsys, command):
         out = tmp_path / "out"
         out.write_text("keep\n", encoding="utf-8")
         assert main([command, *cli_args(data_dir, out, grades=command != "score")]) == 1
-        assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.EEXIST)}\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: {os.strerror(errno.EEXIST)}\n"
+        assert captured.out == ""
         assert out.read_text(encoding="utf-8") == "keep\n"
 
     def test_directory_target_changes_nothing(self, data_dir, tmp_path, capsys):
@@ -484,6 +504,34 @@ class TestFileBoundary:
             f"error: {out / 'scores.csv'}: {os.strerror(errno.EACCES)}\n"
         )
         assert tree(out) == {}
+
+
+class TestHugeValues:
+    """Every weight and grade set to one huge value: a result or one error, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["score", "evaluate", "compare"])
+    @pytest.mark.parametrize("value", ["1e160", "1e308"])
+    def test_every_weight_and_grade_huge(self, data_dir, tmp_path, capsys, command, value):
+        for name, column in (("model.csv", "weight"), ("grades.csv", "score")):
+            rows = read_rows(data_dir / name)
+            i = rows[0].index(column)
+            write_csv(tmp_path / name, rows[0], [[*r[:i], value, *r[i + 1:]] for r in rows[1:]])
+        args = cli_args(data_dir, tmp_path / "out", grades=command != "score")
+        args[args.index("--model") + 1] = str(tmp_path / "model.csv")
+        if command != "score":
+            args[args.index("--grades") + 1] = str(tmp_path / "grades.csv")
+        code = main([command, *args])
+        err = capsys.readouterr().err
+        if value == "1e160":
+            # squaring the spread of 3e160-point totals would overflow a float
+            assert (code, err) == (0, "")
+        else:
+            # three 1e308 weights sum past the largest float
+            assert code == 1
+            assert err == (
+                f"error: {tmp_path / 'model.csv'}: weight column sums past the largest float\n"
+            )
+            assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script runs to completion against the package in src/, every warning an error."""
 
 import os
 import subprocess
@@ -21,7 +21,7 @@ def test_demo_exits_0(demo):
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,

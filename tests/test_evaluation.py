@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from essayscore import (
     EssayScoreError,
+    HumanGrade,
+    ScoreRecord,
+    build_report,
     descriptive_stats,
     f_survival,
     repeated_measures_anova,
@@ -114,6 +117,14 @@ class TestDescriptiveStats:
         scaled = descriptive_stats([k * v for v in values])
         assert abs(scaled.cv - base.cv) <= 1e-9 * max(1.0, base.cv)
 
+    @pytest.mark.parametrize("big", [1e160, 1e308])
+    def test_huge_values_do_not_overflow(self, big):
+        # squaring a deviation this large, or summing these values, overflows
+        stats = descriptive_stats([big, big, big / 2, big / 2])
+        assert stats.mean == pytest.approx(0.75 * big, rel=1e-15)
+        assert stats.std == pytest.approx(big / math.sqrt(12), rel=1e-15)
+        assert stats.cv == pytest.approx(100 / math.sqrt(12) / 0.75, rel=1e-15)
+
 
 class TestRepeatedMeasuresAnova:
     def test_zero_mean_difference(self):
@@ -138,11 +149,10 @@ class TestRepeatedMeasuresAnova:
         result = repeated_measures_anova(a, list(a))
         assert result.f == 0.0
         assert result.p == 1.0
-        assert not result.degenerate
+        assert not math.isinf(result.f)
 
     def test_degenerate_constant_nonzero_difference(self):
         result = repeated_measures_anova([3.0, 4.0, 5.0], [1.0, 2.0, 3.0])
-        assert result.degenerate
         assert math.isinf(result.f)
         assert result.p == 0.0
         assert result.eta_sq == 1.0
@@ -153,7 +163,7 @@ class TestRepeatedMeasuresAnova:
         # though var(d) / n underflows to 0 for x this small
         result = repeated_measures_anova([0.0] * 5, [0.0] * 4 + [7.667e-162])
         assert result.f == pytest.approx(1.0, rel=1e-12)
-        assert not result.degenerate
+        assert not math.isinf(result.f)
 
     def test_length_mismatch(self):
         with pytest.raises(EssayScoreError, match="differ in length: 2 vs 3"):
@@ -233,3 +243,44 @@ class TestFSurvival:
                     assert f_survival(f, df1, df2) == pytest.approx(
                         expected, abs=1e-6
                     )
+
+
+def record(sid, qid, points):
+    return ScoreRecord(sid, qid, similarity=0.5, points=points)
+
+
+class TestBuildReport:
+    def test_grade_without_record_is_skipped(self):
+        records = [record("s1", "q1", 4.0), record("s2", "q1", 6.0)]
+        grades = [HumanGrade("s1", "q1", 5.0), HumanGrade("s2", "q1", 6.0)]
+        report = build_report(records, grades)
+        with_stray = build_report(records, [*grades, HumanGrade("s9", "q1", 99.0)])
+        assert with_stray == report
+        assert [sid for sid, _, _ in report.totals] == ["s1", "s2"]
+
+    def test_totals_sum_matched_pairs_only(self):
+        # s1's q2 answer has no grade, so its 7 points are in no total
+        records = [record("s1", "q1", 4.0), record("s1", "q2", 7.0), record("s2", "q1", 6.0)]
+        grades = [HumanGrade("s1", "q1", 5.0), HumanGrade("s2", "q1", 6.0)]
+        report = build_report(records, grades)
+        assert report.totals == [("s1", 5.0, 4.0), ("s2", 6.0, 6.0)]
+        assert report.system_stats.mean == 5.0
+        assert list(report.per_question) == ["q1"]
+
+    def test_per_question_keys_sorted(self):
+        qids = ["q3", "q10", "q1", "q2"]
+        records = [record("s1", q, 1.0) for q in qids]
+        grades = [HumanGrade("s1", q, 2.0) for q in qids]
+        report = build_report(records, grades)
+        assert list(report.per_question) == ["q1", "q10", "q2", "q3"]
+
+    @pytest.mark.parametrize("students, has_anova", [(2, False), (3, True)])
+    def test_anova_needs_three_matched_students(self, students, has_anova):
+        sids = [f"s{i}" for i in range(students)]
+        records = [record(sid, "q1", float(i)) for i, sid in enumerate(sids)]
+        grades = [HumanGrade(sid, "q1", float(i * i)) for i, sid in enumerate(sids)]
+        # a graded but unanswered student is not matched
+        grades.append(HumanGrade("s_unanswered", "q1", 1.0))
+        report = build_report(records, grades)
+        assert (report.anova is not None) == has_anova
+        assert len(report.totals) == students

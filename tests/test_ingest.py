@@ -161,6 +161,24 @@ class TestLoadGrades:
             load_grades(p)
 
 
+@pytest.mark.parametrize(
+    "loader, header, column",
+    [
+        (load_model, "question_id,model_answer,weight", "weight"),
+        (load_grades, "student_id,question_id,score", "score"),
+    ],
+    ids=["model", "grades"],
+)
+def test_column_summing_past_largest_float(tmp_path, loader, header, column):
+    # every value is finite, but the totals built from them would not be
+    p = write(tmp_path / "f.csv", f"{header}\na,b,1e308\nc,d,1e308\n")
+    with pytest.raises(EssayScoreError) as exc:
+        loader(p)
+    assert str(exc.value) == f"{p}: {column} column sums past the largest float"
+    write(p, f"{header}\na,b,1e308\nc,d,7e307\n")
+    assert len(loader(p)) == 2
+
+
 class TestLoadLexicons:
     def test_stopwords_with_comment(self, tmp_path):
         sp = write(tmp_path / "stop.txt", "yang\ndan\n# comment\n\n")

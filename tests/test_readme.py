@@ -1,4 +1,4 @@
-"""Each ```python block in README.md runs to completion against src/."""
+"""Each ```python block in README.md runs to completion against src/, every warning an error."""
 
 import os
 import re
@@ -26,7 +26,7 @@ def test_readme_block_exits_0(code):
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-W", "error", "-c", code],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,

@@ -36,11 +36,16 @@ class TestTermFrequency:
         assert abs(sum(term_frequency(grams).values()) - 1.0) <= 1e-12
 
 
+def document_frequencies(docs):
+    return {term: sum(term in doc for doc in docs) for doc in docs for term in doc}
+
+
 class TestFitVocabulary:
     def test_document_frequencies_and_idf(self):
-        vocab = fit_vocabulary([["a", "b"], ["a"], ["a", "c"], ["d"]])
-        assert vocab.corpus_size == 4
-        assert vocab.df == {"a": 3, "b": 1, "c": 1, "d": 1}
+        docs = [["a", "b"], ["a"], ["a", "c"], ["d"]]
+        vocab = fit_vocabulary(docs)
+        assert set(vocab.idf) == {"a", "b", "c", "d"}
+        assert vocab.idf["b"] == vocab.idf["c"] == vocab.idf["d"]
         assert vocab.idf["a"] == pytest.approx(math.log(4 / 3), abs=1e-15)
         assert vocab.idf["a"] == pytest.approx(0.2877, abs=1e-4)
         assert vocab.idf["d"] == pytest.approx(math.log(4), abs=1e-15)
@@ -56,30 +61,32 @@ class TestFitVocabulary:
 
     def test_empty_documents_count_toward_corpus_size(self):
         vocab = fit_vocabulary([["a"], [], []])
-        assert vocab.corpus_size == 3
         assert vocab.idf["a"] == pytest.approx(math.log(3), abs=1e-15)
 
     @given(docs_strategy)
     def test_idf_nonnegative_and_df_bounded(self, docs):
         vocab = fit_vocabulary(docs)
-        for term, df in vocab.df.items():
-            assert 1 <= df <= vocab.corpus_size
+        dfs = document_frequencies(docs)
+        assert vocab.idf.keys() == dfs.keys()
+        for term, df in dfs.items():
+            assert vocab.idf[term] == math.log(len(docs) / df)
             assert vocab.idf[term] >= 0.0
-            assert (vocab.idf[term] == 0.0) == (df == vocab.corpus_size)
+            assert (vocab.idf[term] == 0.0) == (df == len(docs))
 
     @given(docs_strategy)
     def test_idf_strictly_decreases_with_df(self, docs):
         vocab = fit_vocabulary(docs)
-        terms = sorted(vocab.df)
+        dfs = document_frequencies(docs)
+        terms = sorted(dfs)
         for t1 in terms:
             for t2 in terms:
-                if vocab.df[t1] < vocab.df[t2]:
+                if dfs[t1] < dfs[t2]:
                     assert vocab.idf[t1] > vocab.idf[t2]
 
 
 class TestTransform:
     def test_weights_multiply_tf_and_idf(self):
-        vocab = Vocabulary(corpus_size=4, df={"a": 3, "b": 2}, idf={"a": 0.2877, "b": 1.0})
+        vocab = Vocabulary(idf={"a": 0.2877, "b": 1.0})
         vec = transform(["a", "a", "b"], vocab)
         assert vec["a"] == pytest.approx((2 / 3) * 0.2877, abs=1e-12)
         assert vec["a"] == pytest.approx(0.1918, abs=1e-4)
