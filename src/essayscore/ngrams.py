@@ -28,4 +28,5 @@ def extract_ngrams(tokens: TokenSequence, n: int) -> NGramProfile:
         )
     if n == 1:
         return list(tokens)
-    return [" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+    # zip over the tokens shifted by 0..n-1 yields each window as a tuple
+    return list(map(" ".join, zip(*(tokens[i:] for i in range(n)))))

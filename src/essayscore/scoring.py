@@ -19,7 +19,7 @@ from .ingest import Lexicons, QuestionSpec, RawEssay
 from .ngrams import VALID_NGRAM_SIZES, extract_ngrams
 from .preprocess import preprocess_pipeline
 from .similarity import SIMILARITY_METRICS
-from .vsm import fit_vocabulary, transform
+from .vsm import _check_log_base, fit_vocabulary, transform
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ def score_corpus(
         raise EssayScoreError(f"metric must be one of {tuple(SIMILARITY_METRICS)}, got {metric!r}")
     if n not in VALID_NGRAM_SIZES:
         raise EssayScoreError(f"n-gram size must be one of {VALID_NGRAM_SIZES}, got {n!r}")
+    _check_log_base(log_base)
     specs = {q.question_id: q for q in questions}
     by_question: dict[str, list[int]] = {}
     for i, answer in enumerate(answers):

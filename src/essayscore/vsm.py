@@ -3,7 +3,9 @@
 Term frequency is a term's count divided by the document's total gram
 count, so every non-empty document's frequencies sum to one. Inverse
 document frequency is log(N / df) over N documents, df of which hold the
-term; the log base defaults to natural log and is configurable, which only
+term. It is computed once for each distinct df, and every term with that
+df shares the value. The log base defaults to natural log and is
+configurable. It must be finite and greater than 1; such a base only
 rescales every weight by the same positive constant and therefore cannot
 change cosine or Jaccard similarity downstream.
 
@@ -40,20 +42,27 @@ def term_frequency(grams: NGramProfile) -> dict[str, float]:
     return {term: count / total for term, count in Counter(grams).items()}
 
 
+def _check_log_base(log_base: float) -> None:
+    """Reject an idf log base that is not a finite number greater than 1."""
+    if not (1.0 < log_base < math.inf):
+        raise EssayScoreError(f"log base must be finite and greater than 1, got {log_base!r}")
+
+
 def fit_vocabulary(docs: list[NGramProfile], log_base: float = math.e) -> Vocabulary:
     """Fit the idf of every term over a collection of gram profiles.
 
     Individual documents may be empty (they still count toward the corpus
     size); the collection itself must not be.
     """
+    _check_log_base(log_base)
     if not docs:
         raise EssayScoreError("cannot fit a vocabulary over zero documents")
     size = len(docs)
     df: Counter[str] = Counter()
     for grams in docs:
         df.update(set(grams))
-    idf = {term: math.log(size / n_docs, log_base) for term, n_docs in df.items()}
-    return Vocabulary(idf=idf)
+    idf_by_df = {n_docs: math.log(size / n_docs, log_base) for n_docs in set(df.values())}
+    return Vocabulary(idf={term: idf_by_df[n_docs] for term, n_docs in df.items()})
 
 
 def transform(grams: NGramProfile, vocab: Vocabulary) -> TermVector:
@@ -62,10 +71,12 @@ def transform(grams: NGramProfile, vocab: Vocabulary) -> TermVector:
     Out-of-vocabulary terms are dropped, as are terms whose idf is zero,
     keeping the vector strictly positive and sparse.
     """
+    total = len(grams)
     idf = vocab.idf
+    # count / total * weight rounds exactly as term_frequency's value times the idf
     return {
-        term: freq * idf[term]
-        for term, freq in term_frequency(grams).items()
-        if term in idf and idf[term] > 0.0
+        term: count / total * weight
+        for term, count in Counter(grams).items()
+        if (weight := idf.get(term, 0.0)) > 0.0
     }
 

@@ -1,10 +1,17 @@
 """CLI behaviour: golden outputs, exit codes, grid consistency, determinism."""
 
+import contextlib
 import csv
 import errno
+import io
 import os
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from essayscore import cli
@@ -532,6 +539,95 @@ class TestHugeValues:
                 f"error: {tmp_path / 'model.csv'}: weight column sums past the largest float\n"
             )
             assert not (tmp_path / "out").exists()
+
+
+STOPWORDS = ["yang", "dan", "di", "ini"]
+WORDS = ["pancasila", "dasar", "negara", "republik", "indonesia", "rakyat"]
+# letters with no shared n-gram between two documents, for any n
+UNIQUE_LETTERS = "bcdfghjklmnp"
+WEIGHTS = ["0", "1", "20", repr(sys.float_info.max / 8), repr(sys.float_info.max)]
+# six grades of max / 8 still sum to a finite column
+SCORES = ["0", "5", "20", repr(sys.float_info.max / 8)]
+
+
+def _sentence(pool, min_size=1):
+    return st.lists(st.sampled_from(pool), min_size=min_size, max_size=8).map(" ".join)
+
+
+def _unique_words(doc):
+    return " ".join(f"{UNIQUE_LETTERS[doc % 12]}{UNIQUE_LETTERS[j]}" for j in range(doc % 3 + 1))
+
+
+# Each kind draws one document's text; ``doc`` numbers the document in its corpus.
+TEXT_KINDS = {
+    "blank": lambda model, doc: st.sampled_from(["", " ", "\t \n"]),
+    "model": lambda model, doc: st.just(model),
+    "digits_punctuation": lambda model, doc: st.text(
+        alphabet="0123456789 .,;:!?-()'\"", max_size=20
+    ),
+    "stopwords": lambda model, doc: _sentence(STOPWORDS),
+    "no_shared_ngrams": lambda model, doc: st.just(_unique_words(doc)),
+    "cyrillic_cjk": lambda model, doc: _sentence(
+        ["школа", "Москва", "ученик", "学生", "国家", "考试", "東京"]
+    ),
+    "ordinary": lambda model, doc: _sentence(WORDS + STOPWORDS, min_size=0),
+}
+
+
+@st.composite
+def degenerate_corpora(draw):
+    """Legal but degenerate answer, model and grade files, as {name: (header, rows)}."""
+    kind = draw(st.sampled_from(sorted(TEXT_KINDS)))
+    questions = [f"q{i}" for i in range(1, draw(st.integers(1, 2)) + 1)]
+    students = [f"s{i}" for i in range(1, draw(st.integers(1, 3)) + 1)]
+    models = {}
+    for i, qid in enumerate(questions):
+        model_kind = draw(st.sampled_from([kind, "ordinary"]))
+        # Answers are documents 0..5, so model answers start at 10. A model
+        # answer may be whitespace or punctuation, but not empty.
+        text = draw(TEXT_KINDS[model_kind]("", 10 + i))
+        models[qid] = text or " "
+    answers = [
+        (sid, qid, draw(TEXT_KINDS[kind](models[qid], j * len(questions) + i)))
+        for j, sid in enumerate(students)
+        for i, qid in enumerate(questions)
+    ]
+    return {
+        "answers.csv": (["student_id", "question_id", "answer_text"], answers),
+        "model.csv": (
+            ["question_id", "model_answer", "weight"],
+            [(qid, models[qid], draw(st.sampled_from(WEIGHTS))) for qid in questions],
+        ),
+        "grades.csv": (
+            ["student_id", "question_id", "score"],
+            [(sid, qid, draw(st.sampled_from(SCORES))) for sid, qid, _ in answers],
+        ),
+    }
+
+
+class TestDegenerateCorpora:
+    """Every command on a legal corpus exits 0, or 1 with one error line and no --out."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(degenerate_corpora())
+    def test_exit_0_or_one_error_line_never_a_traceback(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, (header, rows) in files.items():
+                write_csv(root / name, header, rows)
+            (root / "stopwords.txt").write_text("\n".join(STOPWORDS) + "\n", encoding="utf-8")
+            (root / "normalization.csv").write_text("slang,formal\nnegri,negara\n", encoding="utf-8")
+            for command in ("score", "evaluate", "compare"):
+                out = root / command
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    code = main([command, *cli_args(root, out, grades=command != "score")])
+                lines = stderr.getvalue().splitlines()
+                assert "Traceback" not in stderr.getvalue()
+                assert code in (0, 1), (command, lines)
+                if code == 1:
+                    assert len([line for line in lines if line.startswith("error:")]) == 1
+                    assert not out.exists()
 
 
 class TestDeterminism:

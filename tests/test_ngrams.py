@@ -59,3 +59,10 @@ def test_bigram_first_word_matches_unigram(tokens):
 def test_each_gram_has_n_minus_1_spaces(tokens, n):
     for gram in extract_ngrams(tokens, n):
         assert gram.count(" ") == n - 1
+
+
+@given(tokens_strategy, st.sampled_from([1, 2, 3]))
+def test_equals_sliding_window_definition(tokens, n):
+    # includes len(tokens) < n, where both sides are empty
+    expected = [" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+    assert extract_ngrams(tokens, n) == expected

@@ -106,6 +106,22 @@ class TestScoreCorpus:
         with pytest.raises(EssayScoreError, match=message):
             score_corpus(answers, [make_question()], EMPTY, **config)
 
+    @pytest.mark.parametrize("answers", [[], [RawEssay("s1", "q1", "cat sat mat")]], ids=["empty", "one"])
+    @pytest.mark.parametrize("log_base", [1.0, 0.5, 0.0, -2.0, math.inf, math.nan])
+    def test_log_base_outside_one_to_infinity_rejected(self, answers, log_base):
+        question = make_question(text="cat sat mat dog")
+        with pytest.raises(EssayScoreError, match="log base must be finite and greater than 1"):
+            score_corpus(answers, [question], EMPTY, log_base=log_base)
+
+    def test_valid_log_bases_give_equal_similarity(self):
+        question = make_question(text="cat sat mat dog")
+        answers = [RawEssay("s1", "q1", "cat sat mat"), RawEssay("s2", "q1", "bird flew")]
+        natural = score_corpus(answers, [question], EMPTY)[0].similarity
+        assert natural > 0.0
+        for base in (2.0, 10.0):
+            record = score_corpus(answers, [question], EMPTY, log_base=base)[0]
+            assert record.similarity == pytest.approx(natural, abs=1e-12)
+
     def test_perfect_student_scores_sum_of_weights(self, corpus):
         answers, questions, _, lexicons = corpus
         perfect = [

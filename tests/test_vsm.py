@@ -83,6 +83,18 @@ class TestFitVocabulary:
                 if dfs[t1] < dfs[t2]:
                     assert vocab.idf[t1] > vocab.idf[t2]
 
+    @pytest.mark.parametrize("log_base", [1.0, 0.5, 0.0, -2.0, math.inf, math.nan])
+    def test_log_base_outside_one_to_infinity_rejected(self, log_base):
+        with pytest.raises(EssayScoreError, match="log base must be finite and greater than 1"):
+            fit_vocabulary([["a"], ["b"]], log_base=log_base)
+
+    @given(docs_strategy, st.sampled_from([math.e, 2.0, 10.0]))
+    def test_every_idf_is_its_definition_bit_for_bit(self, docs, log_base):
+        vocab = fit_vocabulary(docs, log_base=log_base)
+        for term, df in document_frequencies(docs).items():
+            expected = math.log(len(docs) / df, log_base)
+            assert vocab.idf[term].hex() == expected.hex()
+
 
 class TestTransform:
     def test_weights_multiply_tf_and_idf(self):
@@ -111,6 +123,19 @@ class TestTransform:
         vocab = fit_vocabulary(docs)
         for weight in transform(grams, vocab).values():
             assert weight > 0.0
+
+    @given(docs_strategy, st.lists(st.sampled_from("abcdefghij"), max_size=12))
+    def test_equals_tf_times_idf_bit_for_bit(self, docs, grams):
+        # grams may be empty, and "h".."j" are never in the vocabulary
+        vocab = fit_vocabulary(docs)
+        tf = term_frequency(grams)
+        expected = {
+            term: (tf[term] * vocab.idf[term]).hex()
+            for term in tf
+            if vocab.idf.get(term, 0.0) > 0.0
+        }
+        got = {term: weight.hex() for term, weight in transform(grams, vocab).items()}
+        assert got == expected
 
 
 class TestLogBaseInvariance:
