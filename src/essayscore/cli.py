@@ -34,8 +34,6 @@ from .scoring import aggregate_totals, score_corpus
 from .similarity import SIMILARITY_METRICS
 
 METRIC_CHOICES = tuple(sorted(SIMILARITY_METRICS))
-DEFAULT_METRIC = "cosine"
-DEFAULT_NGRAM = 1
 OutputFiles = dict[str, tuple[Sequence[str], Sequence[Sequence[str]]]]  # name -> (header, rows)
 
 
@@ -224,53 +222,42 @@ def cmd_compare(args: argparse.Namespace) -> OutputFiles:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common_arguments(sub: argparse.ArgumentParser, with_grades: bool) -> None:
-    sub.add_argument("--answers", required=True, type=Path, help="student answers CSV")
-    sub.add_argument("--model", required=True, type=Path, help="model answers CSV")
-    if with_grades:
-        sub.add_argument("--grades", required=True, type=Path, help="teacher grades CSV")
-    sub.add_argument("--stopwords", required=True, type=Path, help="stopword list, one per line")
-    sub.add_argument("--normalization", required=True, type=Path, help="slang,formal CSV")
-    sub.add_argument("--out", required=True, type=Path, metavar="DIR", help="output directory")
-
-
-def _add_config_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--metric",
-        choices=METRIC_CHOICES,
-        default=DEFAULT_METRIC,
-        help="similarity metric (default: %(default)s)",
-    )
-    sub.add_argument(
-        "--ngram",
-        type=int,
-        choices=VALID_NGRAM_SIZES,
-        default=DEFAULT_NGRAM,
-        help="n-gram size (default: %(default)s)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="essayscore",
         description="Score student essay answers against teacher model answers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_score = sub.add_parser("score", help="score a corpus and write points")
-    _add_common_arguments(p_score, with_grades=False)
-    _add_config_arguments(p_score)
-    p_score.set_defaults(handler=cmd_score)
-
-    p_eval = sub.add_parser("evaluate", help="compare system scores to grades")
-    _add_common_arguments(p_eval, with_grades=True)
-    _add_config_arguments(p_eval)
-    p_eval.set_defaults(handler=cmd_evaluate)
-
-    p_cmp = sub.add_parser("compare", help="sweep all metric/n-gram combinations")
-    _add_common_arguments(p_cmp, with_grades=True)
-    p_cmp.set_defaults(handler=cmd_compare)
-
+    # name, handler, help, reads --grades, takes --metric/--ngram
+    commands = (
+        ("score", cmd_score, "score a corpus and write points", False, True),
+        ("evaluate", cmd_evaluate, "compare system scores to grades", True, True),
+        ("compare", cmd_compare, "sweep all metric/n-gram combinations", True, False),
+    )
+    for name, handler, help_text, with_grades, with_config in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--answers", required=True, type=Path, help="student answers CSV")
+        p.add_argument("--model", required=True, type=Path, help="model answers CSV")
+        if with_grades:
+            p.add_argument("--grades", required=True, type=Path, help="teacher grades CSV")
+        p.add_argument("--stopwords", required=True, type=Path, help="stopword list, one per line")
+        p.add_argument("--normalization", required=True, type=Path, help="slang,formal CSV")
+        p.add_argument("--out", required=True, type=Path, metavar="DIR", help="output directory")
+        if with_config:
+            p.add_argument(
+                "--metric",
+                choices=METRIC_CHOICES,
+                default="cosine",
+                help="similarity metric (default: %(default)s)",
+            )
+            p.add_argument(
+                "--ngram",
+                type=int,
+                choices=VALID_NGRAM_SIZES,
+                default=1,
+                help="n-gram size (default: %(default)s)",
+            )
+        p.set_defaults(handler=handler)
     return parser
 
 

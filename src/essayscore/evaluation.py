@@ -135,6 +135,17 @@ _BETACF_EPS = 1e-12
 _BETACF_FPMIN = 1e-300
 
 
+def _lentz_step(aa: float, c: float, d: float) -> tuple[float, float]:
+    """One modified-Lentz update of (c, d) for the partial numerator ``aa``."""
+    d = 1.0 + aa * d
+    if abs(d) < _BETACF_FPMIN:
+        d = _BETACF_FPMIN
+    c = 1.0 + aa / c
+    if abs(c) < _BETACF_FPMIN:
+        c = _BETACF_FPMIN
+    return c, 1.0 / d
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (Lentz's method)."""
     qab = a + b
@@ -148,23 +159,9 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
+        c, d = _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), c, d)
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
+        c, d = _lentz_step(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _BETACF_EPS:
@@ -199,8 +196,8 @@ def f_survival(f: float, df1: int, df2: int) -> float:
     """Upper tail probability P(F(df1, df2) > f) for f >= 0."""
     if df1 < 1 or df2 < 1:
         raise EssayScoreError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
-    if f < 0:
-        raise ValueError(f"f statistic must be nonnegative, got {f}")
+    if not f >= 0:  # also catches NaN
+        raise EssayScoreError(f"f statistic must be nonnegative, got {f}")
     if math.isinf(f):
         return 0.0
     x = df2 / (df2 + df1 * f)
@@ -241,27 +238,24 @@ def build_report(
     """
     scored = {(r.student_id, r.question_id): r for r in records}
     per_question_pairs: dict[str, list[tuple[float, float]]] = {}
-    human_totals: dict[str, float] = {}
-    system_totals: dict[str, float] = {}
+    per_student_pairs: dict[str, list[tuple[float, float]]] = {}
     for grade in grades:
         record = scored.get((grade.student_id, grade.question_id))
         if record is None:
             continue
-        per_question_pairs.setdefault(grade.question_id, []).append(
-            (grade.score, record.points)
-        )
-        human_totals[grade.student_id] = (
-            human_totals.get(grade.student_id, 0.0) + grade.score
-        )
-        system_totals[grade.student_id] = (
-            system_totals.get(grade.student_id, 0.0) + record.points
-        )
+        pair = (grade.score, record.points)
+        per_question_pairs.setdefault(grade.question_id, []).append(pair)
+        per_student_pairs.setdefault(grade.student_id, []).append(pair)
 
     per_question = {
         qid: rmse(pairs) for qid, pairs in sorted(per_question_pairs.items())
     }
-    students = sorted(human_totals)
-    totals = [(sid, human_totals[sid], system_totals[sid]) for sid in students]
+    # fsum, as in aggregate_totals: exactly rounded, so the grade row order
+    # cannot change a total's bits
+    totals = [
+        (sid, math.fsum(h for h, _ in pairs), math.fsum(s for _, s in pairs))
+        for sid, pairs in sorted(per_student_pairs.items())
+    ]
     overall = rmse([(h, s) for _, h, s in totals])
     system_series = [s for _, _, s in totals]
     human_series = [h for _, h, _ in totals]

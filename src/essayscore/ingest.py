@@ -108,6 +108,7 @@ def _data_rows(path: Path, header: list[str]) -> list[list[str]]:
 
 
 def _parse_number(text: str, path: Path, line: int, column: str) -> float:
+    """A finite, nonnegative number from one cell, or an error naming its line."""
     try:
         value = float(text)
     except ValueError as exc:
@@ -116,6 +117,8 @@ def _parse_number(text: str, path: Path, line: int, column: str) -> float:
         ) from exc
     if not math.isfinite(value):
         raise EssayScoreError(f"{path}: line {line}: {column} {text!r} is not finite")
+    if value < 0:
+        raise EssayScoreError(f"{path}: line {line}: {column} {value} is negative")
     return value
 
 
@@ -156,8 +159,6 @@ def load_model(path: str | Path) -> list[QuestionSpec]:
         _data_rows(path, MODEL_HEADER), start=2
     ):
         weight = _parse_number(weight_text, path, i, "weight")
-        if weight < 0:
-            raise EssayScoreError(f"{path}: line {i}: weight {weight} is negative")
         if not model_answer:
             raise EssayScoreError(f"{path}: line {i}: empty model answer")
         if question_id in seen:
@@ -179,8 +180,6 @@ def load_grades(path: str | Path) -> list[HumanGrade]:
         _data_rows(path, GRADES_HEADER), start=2
     ):
         score = _parse_number(score_text, path, i, "score")
-        if score < 0:
-            raise EssayScoreError(f"{path}: line {i}: score {score} is negative")
         key = (student_id, question_id)
         if key in seen:
             raise EssayScoreError(f"{path}: line {i}: duplicate grade for {key}")

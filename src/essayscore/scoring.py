@@ -51,9 +51,11 @@ def score_corpus(
 ) -> list[ScoreRecord]:
     """Score every answer in a corpus, fitting one vocabulary per question.
 
-    Records come back in the answers' original order. Each document is
-    preprocessed once: a question's gram lists feed both its vocabulary fit
-    and its transforms, and are released before the next question.
+    Records come back in the answers' original order. A model answer that
+    preprocesses to no tokens is an error naming its question, since every
+    answer to it would score 0. Each document is preprocessed once: a
+    question's gram lists feed both its vocabulary fit and its transforms,
+    and are released before the next question.
     """
     similarity = SIMILARITY_METRICS.get(metric)
     if similarity is None:
@@ -74,8 +76,15 @@ def score_corpus(
     records: list[ScoreRecord] = [None] * len(answers)  # type: ignore[list-item]
     for question_id, indices in by_question.items():
         question = specs[question_id]
-        texts = [question.model_answer, *(answers[i].text for i in indices)]
-        docs = [extract_ngrams(preprocess_pipeline(t, lexicons), n) for t in texts]
+        model_tokens = preprocess_pipeline(question.model_answer, lexicons)
+        if not model_tokens:
+            raise EssayScoreError(
+                f"question {question_id!r}: model answer has no terms after preprocessing"
+            )
+        docs = [
+            extract_ngrams(model_tokens, n),
+            *(extract_ngrams(preprocess_pipeline(answers[i].text, lexicons), n) for i in indices),
+        ]
         vocab = fit_vocabulary(docs, log_base=log_base)
         q_vec = transform(docs[0], vocab)
         for i, grams in zip(indices, docs[1:]):

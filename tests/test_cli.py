@@ -476,6 +476,25 @@ class TestFileBoundary:
         assert calls == []
 
     @pytest.mark.parametrize("command", ["score", "evaluate", "compare"])
+    @pytest.mark.parametrize("model_answer", ["...", "yang dan"])
+    def test_model_answer_without_terms_exit_1_without_creating_out(
+        self, data_dir, tmp_path, capsys, command, model_answer
+    ):
+        model = tmp_path / "model.csv"
+        rows = read_rows(data_dir / "model.csv")
+        rows[1][1] = model_answer
+        write_csv(model, rows[0], rows[1:])
+        args = cli_args(data_dir, tmp_path / "out", grades=command != "score")
+        args[args.index("--model") + 1] = str(model)
+        assert main([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: question {rows[1][0]!r}: model answer has no terms after preprocessing\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["score", "evaluate", "compare"])
     def test_out_that_is_a_file_exits_1(self, data_dir, tmp_path, capsys, command):
         out = tmp_path / "out"
         out.write_text("keep\n", encoding="utf-8")

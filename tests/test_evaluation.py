@@ -6,13 +6,14 @@ import random
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from essayscore import (
     EssayScoreError,
     HumanGrade,
     ScoreRecord,
+    aggregate_totals,
     build_report,
     descriptive_stats,
     f_survival,
@@ -232,8 +233,9 @@ class TestFSurvival:
             f_survival(1.0, 1, -2)
 
     def test_negative_statistic_rejected(self):
-        with pytest.raises(ValueError):
-            f_survival(-0.5, 1, 10)
+        for f in (-0.5, math.nan):
+            with pytest.raises(EssayScoreError, match="f statistic must be nonnegative"):
+                f_survival(f, 1, 10)
 
     def test_against_scipy_across_df_grid(self):
         for df1 in (1, 2, 5, 10, 60, 1000):
@@ -284,3 +286,28 @@ class TestBuildReport:
         report = build_report(records, grades)
         assert (report.anova is not None) == has_anova
         assert len(report.totals) == students
+
+    @settings(max_examples=200)
+    @given(
+        points=st.lists(
+            st.lists(st.floats(min_value=0, max_value=1e6), min_size=5, max_size=5),
+            min_size=5,
+            max_size=5,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_totals_are_fsum_whatever_the_grade_order(self, points, order):
+        # 5 students x 5 questions, every answer graded
+        records = [
+            record(f"s{s}", f"q{q}", p)
+            for s, row in enumerate(points)
+            for q, p in enumerate(row)
+        ]
+        grades = [HumanGrade(r.student_id, r.question_id, r.points / 3) for r in records]
+        order.shuffle(grades)
+        totals = [(sid, h.hex(), s.hex()) for sid, h, s in build_report(records, grades).totals]
+        expected = sorted((t.student_id, t.total.hex()) for t in aggregate_totals(records))
+        assert [(sid, system) for sid, _, system in totals] == expected
+        order.shuffle(grades)
+        reshuffled = build_report(records, grades).totals
+        assert [(sid, h.hex(), s.hex()) for sid, h, s in reshuffled] == totals

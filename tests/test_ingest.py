@@ -179,6 +179,38 @@ def test_column_summing_past_largest_float(tmp_path, loader, header, column):
     assert len(loader(p)) == 2
 
 
+@pytest.mark.parametrize(
+    "loader, header, column",
+    [
+        (load_model, "question_id,model_answer,weight", "weight"),
+        (load_grades, "student_id,question_id,score", "score"),
+    ],
+    ids=["model", "grades"],
+)
+class TestNumberColumn:
+    """Both number columns go through one check, with one message each."""
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    def test_not_finite(self, tmp_path, loader, header, column, text):
+        p = write(tmp_path / "f.csv", f"{header}\na,b,1\nc,d,{text}\n")
+        with pytest.raises(EssayScoreError) as exc:
+            loader(p)
+        assert str(exc.value) == f"{p}: line 3: {column} '{text}' is not finite"
+
+    def test_negative(self, tmp_path, loader, header, column):
+        p = write(tmp_path / "f.csv", f"{header}\na,b,1\nc,d,-1\n")
+        with pytest.raises(EssayScoreError) as exc:
+            loader(p)
+        assert str(exc.value) == f"{p}: line 3: {column} -1.0 is negative"
+
+    def test_negative_checked_before_the_rest_of_the_row(self, tmp_path, loader, header, column):
+        # line 3 also repeats line 2's key, which is reported only after the sign
+        p = write(tmp_path / "f.csv", f"{header}\na,b,1\na,b,-2\n")
+        with pytest.raises(EssayScoreError) as exc:
+            loader(p)
+        assert str(exc.value) == f"{p}: line 3: {column} -2.0 is negative"
+
+
 class TestLoadLexicons:
     def test_stopwords_with_comment(self, tmp_path):
         sp = write(tmp_path / "stop.txt", "yang\ndan\n# comment\n\n")

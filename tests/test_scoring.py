@@ -29,7 +29,7 @@ def score_one(answer, question, peers, metric="cosine", n=1):
     return next(r for r in records if r.student_id == answer.student_id)
 
 
-class TestScoreQuestion:
+class TestOneQuestion:
     """Values for one question's answers, scored through score_corpus."""
 
     def test_identical_answer_earns_full_weight(self):
@@ -81,6 +81,22 @@ class TestScoreQuestion:
 
 
 class TestScoreCorpus:
+    @pytest.mark.parametrize("model_answer", ["...", "yang dan", "2024"])
+    def test_model_answer_without_terms_rejected(self, model_answer):
+        lexicons = Lexicons(stopwords=frozenset({"yang", "dan"}))
+        questions = [make_question(), QuestionSpec("q2", model_answer, 10.0)]
+        answers = [RawEssay("s1", "q1", "dasar negara"), RawEssay("s1", "q2", "pancasila")]
+        with pytest.raises(EssayScoreError) as exc:
+            score_corpus(answers, questions, lexicons)
+        assert str(exc.value) == "question 'q2': model answer has no terms after preprocessing"
+
+    def test_model_answer_shorter_than_n_scores_zero(self):
+        # one token has no bigram, but it is a term, so the question is scored
+        question = make_question(text="pancasila")
+        answers = [RawEssay("s1", "q1", "pancasila dasar"), RawEssay("s2", "q1", "pancasila")]
+        records = score_corpus(answers, [question], EMPTY, n=2)
+        assert [r.similarity for r in records] == [0.0, 0.0]
+
     def test_bit_identical_across_runs(self, corpus):
         answers, questions, _, lexicons = corpus
         first = score_corpus(answers, questions, lexicons, metric="cosine", n=2)
