@@ -23,8 +23,8 @@ import errno
 import math
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from .errors import EssayScoreError
 from .evaluation import EvaluationReport, build_report

@@ -16,8 +16,8 @@ convergence) so the package needs no statistics library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import EssayScoreError
 from .ingest import HumanGrade
@@ -47,10 +47,10 @@ def rmse(pairs: PairedScores) -> float:
     return scale * math.sqrt(total / len(pairs))
 
 
-class DescriptiveStats(NamedTuple):
-    mean: float
-    std: float
-    cv: float
+class DescriptiveStats(namedtuple("DescriptiveStats", "mean std cv")):
+    """Mean, sample standard deviation and coefficient of variation (percent)."""
+
+    __slots__ = ()
 
 
 def descriptive_stats(values: Sequence[float]) -> DescriptiveStats:
@@ -75,19 +75,14 @@ def descriptive_stats(values: Sequence[float]) -> DescriptiveStats:
     return DescriptiveStats(mean=mean * scale, std=std * scale, cv=cv)
 
 
-@dataclass(frozen=True)
-class AnovaResult:
+class AnovaResult(namedtuple("AnovaResult", "f p eta_sq wilks_lambda df_error")):
     """Two-condition repeated-measures ANOVA outcome.
 
     When every paired difference is identical but non-zero, F is infinite
     and p is 0.
     """
 
-    f: float
-    p: float
-    eta_sq: float
-    wilks_lambda: float
-    df_error: int
+    __slots__ = ()
 
 
 def repeated_measures_anova(a: Sequence[float], b: Sequence[float]) -> AnovaResult:
@@ -208,8 +203,9 @@ def f_survival(f: float, df1: int, df2: int) -> float:
 # pairing system scores against human grades
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(
+    namedtuple("EvaluationReport", "per_question overall totals system_stats human_stats anova")
+):
     """Everything the evaluation step produces for one scoring run.
 
     ``totals`` holds (student_id, human_total, system_total) rows sorted by
@@ -219,12 +215,7 @@ class EvaluationReport:
     students are matched.
     """
 
-    per_question: dict[str, float]
-    overall: float
-    totals: list[tuple[str, float, float]]
-    system_stats: DescriptiveStats
-    human_stats: DescriptiveStats
-    anova: AnovaResult | None
+    __slots__ = ()
 
 
 def build_report(

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import EssayScoreError
 
@@ -29,43 +30,34 @@ GRADES_HEADER = ["student_id", "question_id", "score"]
 NORMALIZATION_HEADER = ["slang", "formal"]
 
 
-@dataclass(frozen=True)
-class RawEssay:
+class RawEssay(namedtuple("RawEssay", "student_id question_id text")):
     """One student's unprocessed answer text to one question."""
 
-    student_id: str
-    question_id: str
-    text: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuestionSpec:
+class QuestionSpec(namedtuple("QuestionSpec", "question_id model_answer weight")):
     """A question's model answer and its weight (maximum points)."""
 
-    question_id: str
-    model_answer: str
-    weight: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HumanGrade:
+class HumanGrade(namedtuple("HumanGrade", "student_id question_id score")):
     """The teacher's score for one (student, question) pair."""
 
-    student_id: str
-    question_id: str
-    score: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Lexicons:
+class Lexicons(
+    namedtuple("Lexicons", "stopwords normalization", defaults=(frozenset(), MappingProxyType({})))
+):
     """Stopword set and slang-to-formal normalization map, all lowercase.
 
     The normalization map is applied once per token (no chaining), so a
     cycle among entries is harmless.
     """
 
-    stopwords: frozenset[str] = field(default_factory=frozenset)
-    normalization: dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
 
 @contextmanager
@@ -90,16 +82,24 @@ def _open_input(path: Path):
         csv.field_size_limit(old_limit)
 
 
-def _data_rows(path: Path, header: list[str]) -> list[list[str]]:
-    """Read a CSV file, check its header, and return the data rows."""
+def _data_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
+    """Read a CSV file, check its header, and return (line, row) for each data row.
+
+    A row's line is the physical line it starts on, one past where the row
+    before it ended, so a quoted field spanning lines shifts no later row.
+    """
     with _open_input(path) as fh:
-        rows = list(csv.reader(fh, strict=True))
-    if not rows or rows[0] != header:
+        reader = csv.reader(fh, strict=True)
+        rows, start = [], 1
+        for row in reader:
+            rows.append((start, row))
+            start = reader.line_num + 1
+    if not rows or rows[0][1] != header:
         raise EssayScoreError(
             f"{path}: expected header {','.join(header)!r}, "
-            f"got {','.join(rows[0]) if rows else '<empty file>'!r}"
+            f"got {','.join(rows[0][1]) if rows else '<empty file>'!r}"
         )
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         if len(row) != len(header):
             raise EssayScoreError(
                 f"{path}: line {i}: expected {len(header)} fields, got {len(row)}"
@@ -137,9 +137,7 @@ def load_answers(path: str | Path) -> list[RawEssay]:
     path = Path(path)
     essays: list[RawEssay] = []
     seen: set[tuple[str, str]] = set()
-    for i, (student_id, question_id, text) in enumerate(
-        _data_rows(path, ANSWERS_HEADER), start=2
-    ):
+    for i, (student_id, question_id, text) in _data_rows(path, ANSWERS_HEADER):
         if not student_id or not question_id:
             raise EssayScoreError(f"{path}: line {i}: empty student_id or question_id")
         key = (student_id, question_id)
@@ -155,9 +153,7 @@ def load_model(path: str | Path) -> list[QuestionSpec]:
     path = Path(path)
     specs: list[QuestionSpec] = []
     seen: set[str] = set()
-    for i, (question_id, model_answer, weight_text) in enumerate(
-        _data_rows(path, MODEL_HEADER), start=2
-    ):
+    for i, (question_id, model_answer, weight_text) in _data_rows(path, MODEL_HEADER):
         weight = _parse_number(weight_text, path, i, "weight")
         if not model_answer:
             raise EssayScoreError(f"{path}: line {i}: empty model answer")
@@ -176,9 +172,7 @@ def load_grades(path: str | Path) -> list[HumanGrade]:
     path = Path(path)
     grades: list[HumanGrade] = []
     seen: set[tuple[str, str]] = set()
-    for i, (student_id, question_id, score_text) in enumerate(
-        _data_rows(path, GRADES_HEADER), start=2
-    ):
+    for i, (student_id, question_id, score_text) in _data_rows(path, GRADES_HEADER):
         score = _parse_number(score_text, path, i, "score")
         key = (student_id, question_id)
         if key in seen:
@@ -214,9 +208,7 @@ def load_lexicons(stopword_path: str | Path, normalization_path: str | Path) -> 
             stopwords.add(_check_single_token(entry, stopword_path, i))
 
     normalization: dict[str, str] = {}
-    for i, (slang, formal) in enumerate(
-        _data_rows(normalization_path, NORMALIZATION_HEADER), start=2
-    ):
+    for i, (slang, formal) in _data_rows(normalization_path, NORMALIZATION_HEADER):
         key = _check_single_token(slang, normalization_path, i)
         normalization[key] = _check_single_token(formal, normalization_path, i)
 

@@ -11,8 +11,8 @@ here - values stay full precision until report emission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import EssayScoreError
 from .ingest import Lexicons, QuestionSpec, RawEssay
@@ -22,22 +22,16 @@ from .similarity import SIMILARITY_METRICS
 from .vsm import _check_log_base, fit_vocabulary, transform
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
+class ScoreRecord(namedtuple("ScoreRecord", "student_id question_id similarity points")):
     """System similarity and points for one (student, question) pair."""
 
-    student_id: str
-    question_id: str
-    similarity: float
-    points: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StudentScore:
+class StudentScore(namedtuple("StudentScore", "student_id total")):
     """One student's total points over all scored questions."""
 
-    student_id: str
-    total: float
+    __slots__ = ()
 
 
 def score_corpus(

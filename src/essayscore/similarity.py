@@ -15,7 +15,7 @@ independent of dict insertion order.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .vsm import TermVector
 

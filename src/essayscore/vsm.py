@@ -17,8 +17,7 @@ missing from a document are structurally absent.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import EssayScoreError
 from .ngrams import NGramProfile
@@ -27,11 +26,10 @@ from .ngrams import NGramProfile
 TermVector = dict[str, float]
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(namedtuple("Vocabulary", "idf")):
     """The idf of every term in one fitted corpus."""
 
-    idf: dict[str, float]
+    __slots__ = ()
 
 
 def term_frequency(grams: NGramProfile) -> dict[str, float]:

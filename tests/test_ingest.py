@@ -317,3 +317,42 @@ class TestRoundTrip:
         first = load_answers(data_dir / "answers.csv")
         second = load_answers(data_dir / "answers.csv")
         assert first == second
+
+
+class TestLineAfterMultiLineField:
+    """A row's line is the physical line it starts on, even after a quoted field spanning lines."""
+
+    @pytest.mark.parametrize(
+        "loader, text, message",
+        [
+            (
+                load_answers,
+                'student_id,question_id,answer_text\ns1,q1,"one\ntwo\nthree\nfour"\n'
+                "s2,q1,x\ns2,q1,y\n",
+                "line 7: duplicate answer for ('s2', 'q1')",
+            ),
+            (
+                load_model,
+                'question_id,model_answer,weight\nq1,"first\r\nparagraph",1\nq2,x,dua\n',
+                "line 4: weight 'dua' is not a number",
+            ),
+            (
+                load_grades,
+                'student_id,question_id,score\n"s\n1",q1,5\ns2,q1\n',
+                "line 4: expected 3 fields, got 2",
+            ),
+        ],
+        ids=["answers", "model", "grades"],
+    )
+    def test_row_error(self, tmp_path, loader, text, message):
+        p = write(tmp_path / "f.csv", text)
+        with pytest.raises(EssayScoreError) as exc:
+            loader(p)
+        assert str(exc.value) == f"{p}: {message}"
+
+    def test_normalization(self, tmp_path):
+        sp = write(tmp_path / "stop.txt", "")
+        np_ = write(tmp_path / "norm.csv", 'slang,formal\n"gak\ntau",tidak\nx,y,z\n')
+        with pytest.raises(EssayScoreError) as exc:
+            load_lexicons(sp, np_)
+        assert str(exc.value) == f"{np_}: line 4: expected 2 fields, got 3"
