@@ -29,7 +29,7 @@ from .ingest import (
     load_lexicons,
     load_model,
 )
-from .ngrams import VALID_NGRAM_SIZES, extract_ngrams
+from .ngrams import extract_ngrams
 from .preprocess import (
     case_fold,
     clean_text,
@@ -44,14 +44,8 @@ from .scoring import (
     aggregate_totals,
     score_corpus,
 )
-from .similarity import SIMILARITY_METRICS, cosine_similarity, jaccard_similarity
-from .vsm import (
-    TermVector,
-    Vocabulary,
-    fit_vocabulary,
-    term_frequency,
-    transform,
-)
+from .similarity import cosine_similarity, jaccard_similarity
+from .vsm import Vocabulary, fit_vocabulary, term_frequency, transform
 
 __version__ = "0.1.0"
 
@@ -64,11 +58,8 @@ __all__ = [
     "Lexicons",
     "QuestionSpec",
     "RawEssay",
-    "SIMILARITY_METRICS",
     "ScoreRecord",
     "StudentScore",
-    "TermVector",
-    "VALID_NGRAM_SIZES",
     "Vocabulary",
     "aggregate_totals",
     "build_report",

@@ -2,11 +2,13 @@
 
 Provides the error metric (RMSE), descriptive statistics (mean, sample
 standard deviation, coefficient of variation), and a two-condition
-repeated-measures ANOVA. With exactly two within-subject conditions the
-repeated-measures ANOVA reduces analytically to the paired t-test, so it
-is computed that way: F = t^2 with error df = n - 1. Effect size is
-partial eta squared, eta^2 = F / (F + df_error), and Wilks's lambda is its
-complement, 1 - eta^2.
+repeated-measures ANOVA. RMSE takes one (human score, system score) pair
+per student, or per student-question when evaluating a single question.
+With exactly two within-subject conditions the repeated-measures ANOVA
+reduces analytically to the paired t-test, so it is computed that way:
+F = t^2 with error df = n - 1. Effect size is partial eta squared,
+eta^2 = F / (F + df_error), and Wilks's lambda is its complement,
+1 - eta^2.
 
 The F tail probability is evaluated from scratch via the regularized
 incomplete beta function (continued fraction, 200-iteration cap, 1e-12
@@ -23,15 +25,11 @@ from .errors import EssayScoreError
 from .ingest import HumanGrade
 from .scoring import ScoreRecord
 
-# One (human score, system score) pair per student, or per student-question
-# when evaluating a single question.
-PairedScores = Sequence[tuple[float, float]]
-
 # repeated_measures_anova rejects fewer subjects; build_report skips it then
 _ANOVA_MIN_SUBJECTS = 3
 
 
-def rmse(pairs: PairedScores) -> float:
+def rmse(pairs: Sequence[tuple[float, float]]) -> float:
     """Root mean square error between paired human and system scores.
 
     Differences are scaled by their maximum before squaring so the result
@@ -193,8 +191,6 @@ def f_survival(f: float, df1: int, df2: int) -> float:
         raise EssayScoreError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
     if not f >= 0:  # also catches NaN
         raise EssayScoreError(f"f statistic must be nonnegative, got {f}")
-    if math.isinf(f):
-        return 0.0
     x = df2 / (df2 + df1 * f)
     return _regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)
 

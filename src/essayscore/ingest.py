@@ -122,6 +122,12 @@ def _parse_number(text: str, path: Path, line: int, column: str) -> float:
     return value
 
 
+def _check_key(key: tuple[str, ...], names: str, path: Path, line: int) -> None:
+    """No cell of a row's key is empty; ``names`` names the key columns in the message."""
+    if not all(key):
+        raise EssayScoreError(f"{path}: line {line}: empty {names}")
+
+
 def _check_column_sum(values: list[float], path: Path, column: str) -> None:
     """Every value is finite; a column whose total is not would overflow the totals."""
     if math.isinf(sum(values)):
@@ -138,9 +144,8 @@ def load_answers(path: str | Path) -> list[RawEssay]:
     essays: list[RawEssay] = []
     seen: set[tuple[str, str]] = set()
     for i, (student_id, question_id, text) in _data_rows(path, ANSWERS_HEADER):
-        if not student_id or not question_id:
-            raise EssayScoreError(f"{path}: line {i}: empty student_id or question_id")
         key = (student_id, question_id)
+        _check_key(key, "student_id or question_id", path, i)
         if key in seen:
             raise EssayScoreError(f"{path}: line {i}: duplicate answer for {key}")
         seen.add(key)
@@ -155,6 +160,7 @@ def load_model(path: str | Path) -> list[QuestionSpec]:
     seen: set[str] = set()
     for i, (question_id, model_answer, weight_text) in _data_rows(path, MODEL_HEADER):
         weight = _parse_number(weight_text, path, i, "weight")
+        _check_key((question_id,), "question_id", path, i)
         if not model_answer:
             raise EssayScoreError(f"{path}: line {i}: empty model answer")
         if question_id in seen:
@@ -175,6 +181,7 @@ def load_grades(path: str | Path) -> list[HumanGrade]:
     for i, (student_id, question_id, score_text) in _data_rows(path, GRADES_HEADER):
         score = _parse_number(score_text, path, i, "score")
         key = (student_id, question_id)
+        _check_key(key, "student_id or question_id", path, i)
         if key in seen:
             raise EssayScoreError(f"{path}: line {i}: duplicate grade for {key}")
         seen.add(key)

@@ -9,15 +9,11 @@ are added, so a sequence shorter than n yields no grams at all.
 from __future__ import annotations
 
 from .errors import EssayScoreError
-from .preprocess import TokenSequence
 
 VALID_NGRAM_SIZES = (1, 2, 3)
 
-# An n-gram profile is a list of space-joined grams in text order.
-NGramProfile = list[str]
 
-
-def extract_ngrams(tokens: TokenSequence, n: int) -> NGramProfile:
+def extract_ngrams(tokens: list[str], n: int) -> list[str]:
     """Return the n-grams of a token sequence, in order.
 
     For four tokens this gives 4 unigrams, 3 bigrams, or 2 trigrams.

@@ -3,15 +3,13 @@
 The pipeline runs five stages in a fixed order: clean, case-fold,
 tokenize, normalize slang/typos, remove stopwords. Each stage is a pure
 function, exposed individually so they can be tested and demonstrated in
-isolation.
+isolation. A token sequence is a plain list of lowercase tokens in text
+order.
 """
 
 from __future__ import annotations
 
 from .ingest import Lexicons
-
-# A token sequence is a plain list of lowercase tokens in text order.
-TokenSequence = list[str]
 
 
 class _LetterTable(dict):
@@ -46,12 +44,12 @@ def case_fold(s: str) -> str:
     return s.lower()
 
 
-def tokenize(s: str) -> TokenSequence:
+def tokenize(s: str) -> list[str]:
     """Split a cleaned, case-folded string on spaces."""
     return s.split()
 
 
-def normalize_tokens(tokens: TokenSequence, lexicons: Lexicons) -> TokenSequence:
+def normalize_tokens(tokens: list[str], lexicons: Lexicons) -> list[str]:
     """Replace slang/typo tokens with their formal form, one pass per token.
 
     Tokens without a dictionary entry pass through unchanged; length is
@@ -61,13 +59,13 @@ def normalize_tokens(tokens: TokenSequence, lexicons: Lexicons) -> TokenSequence
     return [mapping.get(tok, tok) for tok in tokens]
 
 
-def remove_stopwords(tokens: TokenSequence, lexicons: Lexicons) -> TokenSequence:
+def remove_stopwords(tokens: list[str], lexicons: Lexicons) -> list[str]:
     """Drop stopword tokens, preserving the order of the survivors."""
     stopwords = lexicons.stopwords
     return [tok for tok in tokens if tok not in stopwords]
 
 
-def preprocess_pipeline(raw: str, lexicons: Lexicons) -> TokenSequence:
+def preprocess_pipeline(raw: str, lexicons: Lexicons) -> list[str]:
     """Run the full five-stage pipeline on raw text.
 
     Cleaning happens before case folding, so in the rare case where

@@ -17,13 +17,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from .vsm import TermVector
 
-
-def cosine_similarity(d: TermVector, q: TermVector) -> float:
+def cosine_similarity(d: dict[str, float], q: dict[str, float]) -> float:
     """Normalized dot product of two sparse vectors, clamped to at most 1."""
-    if not d or not q:
-        return 0.0
     dot = math.fsum(d[t] * q[t] for t in d.keys() & q.keys())
     norm_d = math.sqrt(math.fsum(w * w for w in d.values()))
     norm_q = math.sqrt(math.fsum(w * w for w in q.values()))
@@ -33,7 +29,7 @@ def cosine_similarity(d: TermVector, q: TermVector) -> float:
     return min(dot / (norm_d * norm_q), 1.0)
 
 
-def jaccard_similarity(d: TermVector, q: TermVector) -> float:
+def jaccard_similarity(d: dict[str, float], q: dict[str, float]) -> float:
     """Intersection over union of the two key sets; 0 when both are empty."""
     union = d.keys() | q.keys()
     if not union:
@@ -41,7 +37,7 @@ def jaccard_similarity(d: TermVector, q: TermVector) -> float:
     return len(d.keys() & q.keys()) / len(union)
 
 
-SIMILARITY_METRICS: dict[str, Callable[[TermVector, TermVector], float]] = {
+SIMILARITY_METRICS: dict[str, Callable[[dict[str, float], dict[str, float]], float]] = {
     "cosine": cosine_similarity,
     "jaccard": jaccard_similarity,
 }

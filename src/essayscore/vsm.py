@@ -20,10 +20,6 @@ import math
 from collections import Counter, namedtuple
 
 from .errors import EssayScoreError
-from .ngrams import NGramProfile
-
-# Sparse mapping term -> positive TF-IDF weight.
-TermVector = dict[str, float]
 
 
 class Vocabulary(namedtuple("Vocabulary", "idf")):
@@ -32,10 +28,8 @@ class Vocabulary(namedtuple("Vocabulary", "idf")):
     __slots__ = ()
 
 
-def term_frequency(grams: NGramProfile) -> dict[str, float]:
+def term_frequency(grams: list[str]) -> dict[str, float]:
     """Relative frequency of each gram; empty input gives an empty map."""
-    if not grams:
-        return {}
     total = len(grams)
     return {term: count / total for term, count in Counter(grams).items()}
 
@@ -46,7 +40,7 @@ def _check_log_base(log_base: float) -> None:
         raise EssayScoreError(f"log base must be finite and greater than 1, got {log_base!r}")
 
 
-def fit_vocabulary(docs: list[NGramProfile], log_base: float = math.e) -> Vocabulary:
+def fit_vocabulary(docs: list[list[str]], log_base: float = math.e) -> Vocabulary:
     """Fit the idf of every term over a collection of gram profiles.
 
     Individual documents may be empty (they still count toward the corpus
@@ -63,7 +57,7 @@ def fit_vocabulary(docs: list[NGramProfile], log_base: float = math.e) -> Vocabu
     return Vocabulary(idf={term: idf_by_df[n_docs] for term, n_docs in df.items()})
 
 
-def transform(grams: NGramProfile, vocab: Vocabulary) -> TermVector:
+def transform(grams: list[str], vocab: Vocabulary) -> dict[str, float]:
     """TF-IDF weights of one document under a fitted vocabulary.
 
     Out-of-vocabulary terms are dropped, as are terms whose idf is zero,

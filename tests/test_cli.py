@@ -475,6 +475,28 @@ class TestFileBoundary:
         assert main([command, "--grades", str(grades), *args]) == 1
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "name, row, names, command",
+        [
+            ("model.csv", ",extra model,3", "question_id", "score"),
+            ("grades.csv", ",q1,5", "student_id or question_id", "evaluate"),
+        ],
+        ids=["model", "grades"],
+    )
+    def test_empty_key_cell_exit_1_without_creating_out(
+        self, data_dir, tmp_path, capsys, name, row, names, command
+    ):
+        path = tmp_path / name
+        lines = (data_dir / name).read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([*lines, row]) + "\n", encoding="utf-8")
+        args = cli_args(data_dir, tmp_path / "out", grades=command != "score")
+        args[args.index(f"--{path.stem}") + 1] = str(path)
+        assert main([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: line {len(lines) + 1}: empty {names}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["score", "evaluate", "compare"])
     @pytest.mark.parametrize("model_answer", ["...", "yang dan"])
     def test_model_answer_without_terms_exit_1_without_creating_out(

@@ -221,6 +221,11 @@ class TestFSurvival:
     def test_huge_statistic_has_negligible_tail(self):
         assert f_survival(1e6, 1, 10) < 1e-6
 
+    def test_infinite_statistic_has_no_tail(self):
+        assert f_survival(math.inf, 1, 10) == 0.0
+        # df1 * f overflows to inf, so the beta argument underflows to 0
+        assert f_survival(1e308, 2, 1) == 0.0
+
     def test_monotone_decreasing(self):
         grid = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0]
         values = [f_survival(f, 3, 12) for f in grid]

@@ -211,6 +211,42 @@ class TestNumberColumn:
         assert str(exc.value) == f"{p}: line 3: {column} -2.0 is negative"
 
 
+class TestEmptyKey:
+    """All three loaders reject an empty key cell with one message shape."""
+
+    @pytest.mark.parametrize(
+        "loader, text, names",
+        [
+            (load_answers, "student_id,question_id,answer_text\ns1,q1,x\ns2,,y\n",
+             "student_id or question_id"),
+            (load_model, "question_id,model_answer,weight\nq1,x,5\n,extra model,3\n",
+             "question_id"),
+            (load_grades, "student_id,question_id,score\ns1,q1,5\n,q1,5\n",
+             "student_id or question_id"),
+        ],
+        ids=["answers", "model", "grades"],
+    )
+    def test_rejected_naming_the_line(self, tmp_path, loader, text, names):
+        p = write(tmp_path / "f.csv", text)
+        with pytest.raises(EssayScoreError) as exc:
+            loader(p)
+        assert str(exc.value) == f"{p}: line 3: empty {names}"
+
+    @pytest.mark.parametrize(
+        "loader, text, column",
+        [
+            (load_model, "question_id,model_answer,weight\n,x,-1\n", "weight"),
+            (load_grades, "student_id,question_id,score\ns1,,-1\n", "score"),
+        ],
+        ids=["model", "grades"],
+    )
+    def test_number_checked_first(self, tmp_path, loader, text, column):
+        p = write(tmp_path / "f.csv", text)
+        with pytest.raises(EssayScoreError) as exc:
+            loader(p)
+        assert str(exc.value) == f"{p}: line 2: {column} -1.0 is negative"
+
+
 class TestLoadLexicons:
     def test_stopwords_with_comment(self, tmp_path):
         sp = write(tmp_path / "stop.txt", "yang\ndan\n# comment\n\n")
