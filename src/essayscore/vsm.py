@@ -4,10 +4,12 @@ Term frequency is a term's count divided by the document's total gram
 count, so every non-empty document's frequencies sum to one. Inverse
 document frequency is log(N / df) over N documents, df of which hold the
 term. It is computed once for each distinct df, and every term with that
-df shares the value. The log base defaults to natural log and is
-configurable. It must be finite and greater than 1; such a base only
-rescales every weight by the same positive constant and therefore cannot
-change cosine or Jaccard similarity downstream.
+df shares the value. The df counts are kept in the dict that becomes the
+idf table and are overwritten in place, so a fit holds one term table.
+The log base defaults to natural log and is configurable. It must be
+finite and greater than 1; such a base only rescales every weight by the
+same positive constant and therefore cannot change cosine or Jaccard
+similarity downstream.
 
 Vectors are sparse dicts: a term carries an entry only when its weight is
 strictly positive, so terms appearing in every document (idf 0) and terms
@@ -50,11 +52,16 @@ def fit_vocabulary(docs: list[list[str]], log_base: float = math.e) -> Vocabular
     if not docs:
         raise EssayScoreError("cannot fit a vocabulary over zero documents")
     size = len(docs)
-    df: Counter[str] = Counter()
+    # the df counts go into the plain dict that is returned, each then
+    # overwritten by its idf, so a fit never holds two term tables;
+    # Counter.update runs its C counting loop on any dict
+    idf: dict[str, float] = {}
     for grams in docs:
-        df.update(set(grams))
-    idf_by_df = {n_docs: math.log(size / n_docs, log_base) for n_docs in set(df.values())}
-    return Vocabulary(idf={term: idf_by_df[n_docs] for term, n_docs in df.items()})
+        Counter.update(idf, set(grams))
+    idf_by_df = {n_docs: math.log(size / n_docs, log_base) for n_docs in set(idf.values())}
+    for term, n_docs in idf.items():
+        idf[term] = idf_by_df[n_docs]
+    return Vocabulary(idf=idf)
 
 
 def transform(grams: list[str], vocab: Vocabulary) -> dict[str, float]:

@@ -164,6 +164,29 @@ class TestScoreCorpus:
         score_corpus(answers, questions, lexicons, metric="cosine", n=2)
         assert len(seen) == len(questions) + len(answers)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_equal_grams_share_one_string(self, corpus, monkeypatch, n):
+        answers, questions, _, lexicons = corpus
+        fitted = []
+        original = scoring.fit_vocabulary
+
+        def capturing(docs, log_base):
+            fitted.append(docs)
+            return original(docs, log_base=log_base)
+
+        monkeypatch.setattr(scoring, "fit_vocabulary", capturing)
+        score_corpus(answers, questions, lexicons, metric="cosine", n=n)
+        assert len(fitted) == len(questions)
+        repeats = 0
+        for docs in fitted:
+            first = {}
+            for grams in docs:
+                for gram in grams:
+                    assert first.setdefault(gram, gram) is gram
+            repeats += sum(map(len, docs)) - len(first)
+        # the data corpus repeats grams across answers, so sharing is tested
+        assert repeats > 0
+
     def test_unanimous_corpus_collapses_to_zero(self):
         # When every answer equals the model answer, every term appears in
         # every document, all idf values are 0, and the all-empty vectors

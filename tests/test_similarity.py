@@ -10,12 +10,12 @@ from essayscore import cosine_similarity, jaccard_similarity
 
 vectors = st.dictionaries(
     st.sampled_from("abcdefgh"),
-    st.floats(min_value=1e-6, max_value=100.0, allow_nan=False),
+    st.floats(min_value=1e-200, max_value=1e200, allow_nan=False),
     max_size=8,
 )
 nonempty_vectors = st.dictionaries(
     st.sampled_from("abcdefgh"),
-    st.floats(min_value=1e-6, max_value=100.0, allow_nan=False),
+    st.floats(min_value=1e-200, max_value=1e200, allow_nan=False),
     min_size=1,
     max_size=8,
 )
@@ -49,7 +49,7 @@ class TestCosine:
     def test_self_similarity(self, d):
         assert cosine_similarity(d, d) == pytest.approx(1.0, abs=1e-12)
 
-    @given(nonempty_vectors, vectors, st.floats(min_value=1e-3, max_value=1e3))
+    @given(nonempty_vectors, vectors, st.floats(min_value=1e-100, max_value=1e100))
     def test_scale_invariance(self, d, q, c):
         scaled = {t: c * w for t, w in d.items()}
         assert abs(
@@ -91,7 +91,7 @@ class TestJaccard:
     def test_self_similarity_exactly_one(self, d):
         assert jaccard_similarity(d, d) == 1.0
 
-    @given(vectors, vectors, st.floats(min_value=1e-3, max_value=1e3))
+    @given(vectors, vectors, st.floats(min_value=1e-100, max_value=1e100))
     def test_weight_magnitudes_irrelevant(self, d, q, c):
         rescaled = {t: w * c for t, w in d.items()}
         assert jaccard_similarity(rescaled, q) == jaccard_similarity(d, q)

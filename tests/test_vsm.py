@@ -1,6 +1,7 @@
 """TF-IDF weighting tests: exact values, invariants, and the log-base law."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -58,6 +59,21 @@ class TestFitVocabulary:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EssayScoreError, match="over zero documents"):
             fit_vocabulary([])
+
+    def test_fit_holds_one_term_table(self):
+        # 100 documents of 500 terms each, 50,000 distinct terms in all
+        terms = [f"term{i}" for i in range(50_000)]
+        docs = [terms[i::100] for i in range(100)]
+        tracemalloc.start()
+        try:
+            vocab = fit_vocabulary(docs)
+            table, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert type(vocab.idf) is dict
+        assert len(vocab.idf) == 50_000
+        # a second term table alive during the fit would reach 2.5 times
+        assert peak < 2 * table
 
     def test_empty_documents_count_toward_corpus_size(self):
         vocab = fit_vocabulary([["a"], [], []])
