@@ -32,9 +32,10 @@ _ANOVA_MIN_SUBJECTS = 3
 def rmse(pairs: Sequence[tuple[float, float]]) -> float:
     """Root mean square error between paired human and system scores.
 
-    Differences are scaled by their maximum before squaring so the result
-    is exactly 0 iff every pair is equal, even when squared differences
-    would underflow.
+    Differences are scaled by their maximum before squaring, and the
+    result is at least the smallest float once any pair differs, so it is
+    exactly 0 iff every pair is equal, even when squared differences or
+    the mean square itself would underflow.
     """
     if not pairs:
         raise EssayScoreError("rmse needs at least one pair")
@@ -42,7 +43,7 @@ def rmse(pairs: Sequence[tuple[float, float]]) -> float:
     if scale == 0.0:
         return 0.0
     total = math.fsum(((y - u) / scale) ** 2 for y, u in pairs)
-    return scale * math.sqrt(total / len(pairs))
+    return max(scale * math.sqrt(total / len(pairs)), math.ulp(0.0))
 
 
 class DescriptiveStats(namedtuple("DescriptiveStats", "mean std cv")):

@@ -13,15 +13,18 @@ from .errors import EssayScoreError
 VALID_NGRAM_SIZES = (1, 2, 3)
 
 
+def _check_ngram_size(n: int) -> None:
+    """Reject an n-gram size outside VALID_NGRAM_SIZES."""
+    if n not in VALID_NGRAM_SIZES:
+        raise EssayScoreError(f"n-gram size must be one of {VALID_NGRAM_SIZES}, got {n!r}")
+
+
 def extract_ngrams(tokens: list[str], n: int) -> list[str]:
     """Return the n-grams of a token sequence, in order.
 
     For four tokens this gives 4 unigrams, 3 bigrams, or 2 trigrams.
     """
-    if n not in VALID_NGRAM_SIZES:
-        raise EssayScoreError(
-            f"n-gram size must be one of {VALID_NGRAM_SIZES}, got {n!r}"
-        )
+    _check_ngram_size(n)
     if n == 1:
         return list(tokens)
     # zip over the tokens shifted by 0..n-1 yields each window as a tuple

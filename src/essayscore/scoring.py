@@ -25,7 +25,7 @@ from itertools import chain, repeat
 
 from .errors import EssayScoreError
 from .ingest import Lexicons, QuestionSpec, RawEssay
-from .ngrams import VALID_NGRAM_SIZES, extract_ngrams
+from .ngrams import _check_ngram_size, extract_ngrams
 from .preprocess import preprocess_pipeline
 from .similarity import SIMILARITY_METRICS
 from .vsm import _check_log_base, fit_vocabulary, transform
@@ -63,8 +63,7 @@ def score_corpus(
     similarity = SIMILARITY_METRICS.get(metric)
     if similarity is None:
         raise EssayScoreError(f"metric must be one of {tuple(SIMILARITY_METRICS)}, got {metric!r}")
-    if n not in VALID_NGRAM_SIZES:
-        raise EssayScoreError(f"n-gram size must be one of {VALID_NGRAM_SIZES}, got {n!r}")
+    _check_ngram_size(n)
     _check_log_base(log_base)
     specs = {q.question_id: q for q in questions}
     by_question: dict[str, list[int]] = {}

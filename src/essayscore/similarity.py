@@ -9,10 +9,12 @@ grade.
 
 Sums use math.fsum, which returns the correctly rounded total regardless
 of iteration order; this makes both metrics exactly symmetric and
-independent of dict insertion order. Cosine rescales a vector by a power
-of two, which is exact, when its norm would leave the range where the
-squares stay normal and finite, so weights such as 1e-200 or 1e200 keep
-the [0, 1] contract.
+independent of dict insertion order. Cosine first multiplies each vector
+by the power of two that brings its largest weight into [0.5, 1). That
+is exact for every weight within a factor 2**1022 of the largest, so the
+cosine is unchanged, and it keeps every square and product in range, so
+any finite weights, 1e-300 or 1e300 alike, keep the [0, 1] contract on
+one path.
 """
 
 from __future__ import annotations
@@ -21,38 +23,23 @@ import math
 from collections.abc import Callable
 
 
-# Norms in this range keep every square, the dot product and |d||q| normal
-# and finite, so the plain formula is accurate to rounding.
-_NORM_MIN = 2.0**-500
-_NORM_MAX = 2.0**500
-
-
-def _norm(v: dict[str, float]) -> float:
-    """Euclidean norm of a vector; inf when the sum of squares overflows."""
-    try:
-        return math.sqrt(math.fsum(w * w for w in v.values()))
-    except OverflowError:
-        return math.inf
-
-
-def _unit_scaled(v: dict[str, float]) -> dict[str, float]:
-    """The vector divided by a power of two that puts its largest weight in [0.5, 1)."""
-    exponent = math.frexp(max(map(abs, v.values())))[1]
-    return {t: math.ldexp(w, -exponent) for t, w in v.items()}
+def _scale(v: dict[str, float]) -> tuple[float, float]:
+    """The power of two s that brings the vector's largest weight into [0.5, 1), and |s·v|."""
+    exponent = math.frexp(max(map(abs, v.values()), default=0.0))[1]
+    # 2**1023 is the largest power of two a float holds; it still lifts a
+    # subnormal largest weight to at least 2**-51
+    s = math.ldexp(1.0, min(-exponent, 1023))
+    scaled = [w * s for w in v.values()]
+    return s, math.sqrt(math.fsum(x * x for x in scaled))
 
 
 def cosine_similarity(d: dict[str, float], q: dict[str, float]) -> float:
     """Normalized dot product of two sparse vectors, clamped to at most 1."""
-    norm_d = _norm(d)
-    norm_q = _norm(q)
-    if not (_NORM_MIN < norm_d < _NORM_MAX and _NORM_MIN < norm_q < _NORM_MAX):
-        if not (any(d.values()) and any(q.values())):
-            return 0.0
-        # extreme weights: the squares under- or overflow, so rescale each
-        # vector exactly by a power of two, which leaves the cosine unchanged
-        d, q = _unit_scaled(d), _unit_scaled(q)
-        norm_d, norm_q = _norm(d), _norm(q)
-    dot = math.fsum(d[t] * q[t] for t in d.keys() & q.keys())
+    s_d, norm_d = _scale(d)
+    s_q, norm_q = _scale(q)
+    if not (norm_d and norm_q):
+        return 0.0
+    dot = math.fsum(d[t] * s_d * (q[t] * s_q) for t in d.keys() & q.keys())
     # rounding can push v·v/|v||v| a hair above 1; the range is [0, 1]
     return min(dot / (norm_d * norm_q), 1.0)
 

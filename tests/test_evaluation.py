@@ -2,11 +2,12 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from essayscore import (
@@ -54,7 +55,15 @@ class TestRmse:
             reference = (accum / n) ** 0.5
             assert abs(rmse(pairs) - reference) <= 1e-12
 
+    def test_largest_float_difference_stays_finite(self):
+        # the differences' Euclidean norm passes the largest float; their RMS does not
+        top = sys.float_info.max
+        assert rmse([(top, 0.0)] * 4) == top
+        assert rmse([(top, 0.0), (0.0, 0.0)]) == pytest.approx(top / math.sqrt(2), rel=1e-15)
+
     @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=40))
+    # the mean square of these differences is below the smallest float
+    @example([(5e-324, 0.0)] + [(1.0, 1.0)] * 3)
     def test_nonnegative_and_zero_iff_equal(self, pairs):
         value = rmse(pairs)
         assert value >= 0.0
@@ -309,10 +318,18 @@ class TestBuildReport:
             for q, p in enumerate(row)
         ]
         grades = [HumanGrade(r.student_id, r.question_id, r.points / 3) for r in records]
+
+        def bits(report):
+            return (
+                [(sid, h.hex(), s.hex()) for sid, h, s in report.totals],
+                {qid: value.hex() for qid, value in report.per_question.items()},
+                report.overall.hex(),
+            )
+
         order.shuffle(grades)
-        totals = [(sid, h.hex(), s.hex()) for sid, h, s in build_report(records, grades).totals]
+        first = bits(build_report(records, grades))
         expected = sorted((t.student_id, t.total.hex()) for t in aggregate_totals(records))
-        assert [(sid, system) for sid, _, system in totals] == expected
+        assert [(sid, system) for sid, _, system in first[0]] == expected
         order.shuffle(grades)
-        reshuffled = build_report(records, grades).totals
-        assert [(sid, h.hex(), s.hex()) for sid, h, s in reshuffled] == totals
+        # the RMSEs too: a question's pairs arrive in grade-row order
+        assert bits(build_report(records, grades)) == first

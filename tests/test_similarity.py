@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from essayscore import cosine_similarity, jaccard_similarity
@@ -19,6 +19,9 @@ nonempty_vectors = st.dictionaries(
     min_size=1,
     max_size=8,
 )
+# weights whose squares overflow in sum, and weights whose squares are subnormal
+HUGE = {"a": 1.2e154, "b": 1.3e154}
+TINY = {"a": 1e-160, "b": 2e-160, "c": 3e-160}
 
 
 class TestCosine:
@@ -42,14 +45,28 @@ class TestCosine:
         assert cosine_similarity(d, q) == cosine_similarity(q, d)
 
     @given(vectors, vectors)
+    # the squares are finite but their sum overflows
+    @example(HUGE, {"a": 1.2, "b": 1.3})
+    # the squares are subnormal
+    @example(TINY, {"a": 1.0, "b": 1.0, "c": 1.0})
+    @example(TINY, {"b": 2.5e-160, "c": 1e-160})
+    @example(HUGE, TINY)
     def test_range(self, d, q):
         assert 0.0 <= cosine_similarity(d, q) <= 1.0
 
     @given(nonempty_vectors)
+    # the norm itself passes the largest float, or is subnormal
+    @example({"a": 1.5e308, "b": 1.5e308})
+    @example({"a": 5e-324, "b": 1e-320})
     def test_self_similarity(self, d):
         assert cosine_similarity(d, d) == pytest.approx(1.0, abs=1e-12)
 
     @given(nonempty_vectors, vectors, st.floats(min_value=1e-100, max_value=1e100))
+    # c brings the extreme weights of d near 1
+    @example(HUGE, {"a": 1.2, "b": 1.3}, 1 / 1.3e154)
+    @example(TINY, {"a": 1.0, "b": 1.0, "c": 1.0}, 1 / 3e-160)
+    @example(TINY, {"b": 2.5e-160, "c": 1e-160}, 1 / 3e-160)
+    @example(TINY, HUGE, 1 / 3e-160)
     def test_scale_invariance(self, d, q, c):
         scaled = {t: c * w for t, w in d.items()}
         assert abs(
