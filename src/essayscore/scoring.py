@@ -27,7 +27,7 @@ from .errors import EssayScoreError
 from .ingest import Lexicons, QuestionSpec, RawEssay
 from .ngrams import _check_ngram_size, extract_ngrams
 from .preprocess import preprocess_pipeline
-from .similarity import SIMILARITY_METRICS
+from .similarity import SIMILARITY_METRICS, _prepare_query
 from .vsm import _check_log_base, fit_vocabulary, transform
 
 
@@ -95,7 +95,8 @@ def score_corpus(
         ]
         del first
         vocab = fit_vocabulary(docs, log_base=log_base)
-        q_vec = transform(docs[0], vocab)
+        # the model vector is scaled and normed once, not once per answer
+        q_vec = _prepare_query(transform(docs[0], vocab))
         for i, grams in zip(indices, docs[1:]):
             sim = similarity(transform(grams, vocab), q_vec)
             answer = answers[i]

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from essayscore import scoring
+from essayscore import scoring, similarity
 from essayscore import (
     EssayScoreError,
     Lexicons,
@@ -163,6 +163,20 @@ class TestScoreCorpus:
         monkeypatch.setattr(scoring, "preprocess_pipeline", counting)
         score_corpus(answers, questions, lexicons, metric="cosine", n=2)
         assert len(seen) == len(questions) + len(answers)
+
+    def test_scales_each_model_vector_once(self, corpus, monkeypatch):
+        answers, questions, _, lexicons = corpus
+        calls = []
+        original = similarity._scale
+
+        def counting(v):
+            calls.append(v)
+            return original(v)
+
+        monkeypatch.setattr(similarity, "_scale", counting)
+        score_corpus(answers, questions, lexicons, metric="cosine", n=1)
+        # once per answer vector, and once per question for its model vector
+        assert len(calls) == len(answers) + len(questions)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_equal_grams_share_one_string(self, corpus, monkeypatch, n):

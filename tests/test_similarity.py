@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from essayscore import cosine_similarity, jaccard_similarity
+from essayscore.similarity import _prepare_query
 
 vectors = st.dictionaries(
     st.sampled_from("abcdefgh"),
@@ -112,6 +113,20 @@ class TestJaccard:
     def test_weight_magnitudes_irrelevant(self, d, q, c):
         rescaled = {t: w * c for t, w in d.items()}
         assert jaccard_similarity(rescaled, q) == jaccard_similarity(d, q)
+
+
+class TestPreparedQuery:
+    @given(vectors, vectors)
+    @example({"a": 1.2, "b": 1.3}, HUGE)
+    @example({"a": 1.0, "b": 1.0, "c": 1.0}, TINY)
+    @example({"a": 1.0}, {})
+    # the largest weight is subnormal, so the scale is clamped at 2**1023
+    @example({"a": 1.0, "b": 2.0}, {"a": 5e-324, "b": 1e-320})
+    def test_same_bits_as_the_plain_query(self, d, q):
+        prepared = _prepare_query(q)
+        assert prepared.keys() == q.keys()
+        assert cosine_similarity(d, prepared).hex() == cosine_similarity(d, q).hex()
+        assert jaccard_similarity(d, prepared).hex() == jaccard_similarity(d, q).hex()
 
 
 class TestExhaustiveOracle:
