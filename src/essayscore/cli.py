@@ -12,7 +12,7 @@ Diagnostics go to stderr; data goes to files (the compare table, printed
 once its file is written, being the one deliberate exception), written all
 or none. Output rows are sorted so repeated runs over the same inputs are
 byte-identical. Exit status is 0 on success, 1 for bad input data or an
-unwritable output, 2 for bad usage.
+unwritable output (stdout included), 2 for bad usage.
 """
 
 from __future__ import annotations
@@ -208,12 +208,13 @@ def _print_grid(rows: list[tuple[str, str, str, str]]) -> None:
 def cmd_compare(args: argparse.Namespace) -> OutputFiles:
     essays, questions, lexicons = _load_corpus(args)
     grades = _answered_grades(args, essays)
+    cells = [(metric, ngram) for metric in METRIC_CHOICES for ngram in VALID_NGRAM_SIZES]
+    grid = score_corpus(essays, questions, lexicons, cells=cells)
     all_rows: list[tuple[str, str, str, str]] = []
-    for metric in METRIC_CHOICES:
-        for ngram in VALID_NGRAM_SIZES:
-            records = score_corpus(essays, questions, lexicons, metric=metric, n=ngram)
-            all_rows.extend(_rmse_rows(build_report(records, grades), metric, ngram))
-            del records  # free this cell's records before the next cell is scored
+    for metric, ngram in cells:
+        records = next(grid)
+        all_rows.extend(_rmse_rows(build_report(records, grades), metric, ngram))
+        del records  # free this cell's records before the next cell's are built
     all_rows.sort()
     return {"compare.csv": (["question_id", "metric", "ngram", "rmse"], all_rows)}
 
@@ -275,7 +276,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc.filename2 or exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
         return 1
     if args.command == "compare":
-        _print_grid(files["compare.csv"][1])
+        try:
+            _print_grid(files["compare.csv"][1])
+            sys.stdout.flush()
+        except OSError as exc:
+            # as the Python docs' note on SIGPIPE advises, stdout goes to
+            # devnull so the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if exc.errno != errno.EPIPE:  # a reader that left wants no message
+                print(f"error: <stdout>: {exc.strerror}", file=sys.stderr)
+            return 1
     return 0
 
 

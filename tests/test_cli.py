@@ -5,6 +5,7 @@ import csv
 import errno
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -14,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from essayscore import cli
+from essayscore import cli, scoring
 from essayscore.cli import main
 from conftest import cli_args
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_text(path):
@@ -27,6 +30,19 @@ def read_text(path):
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def run_cli(args, stdout):
+    """The CLI in a child process with ``stdout`` as its standard output."""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "essayscore.cli", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        text=True,
+        timeout=120,
+    )
 
 
 def oracle_outputs(data_dir, metric, ngram):
@@ -285,6 +301,31 @@ class TestCompareCommand:
         assert sorted(calls) == [
             "load_answers", "load_grades", "load_lexicons", "load_model"
         ]
+
+    def test_preprocesses_each_document_once_and_fits_once_per_size(
+        self, data_dir, tmp_path, monkeypatch, corpus
+    ):
+        answers = corpus[0]
+        calls = {"preprocess_pipeline": 0, "fit_vocabulary": 0, "score_corpus": 0}
+        for module, name in (
+            (scoring, "preprocess_pipeline"), (scoring, "fit_vocabulary"), (cli, "score_corpus")
+        ):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        assert main(["compare", *cli_args(data_dir, tmp_path, grades=True)]) == 0
+        answered = {a.question_id for a in answers}
+        # one model answer per answered question plus every answer, then one
+        # fit per question at each of the three n-gram sizes
+        assert calls == {
+            "preprocess_pipeline": len(answered) + len(answers),
+            "fit_vocabulary": 3 * len(answered),
+            "score_corpus": 1,
+        }
 
     def test_unmatched_grades_warned_once(self, data_dir, tmp_path, capsys):
         grades_path = tmp_path / "grades.csv"
@@ -552,6 +593,24 @@ class TestFileBoundary:
             f"error: {out / 'scores.csv'}: {os.strerror(errno.EACCES)}\n"
         )
         assert tree(out) == {}
+
+    def test_closed_stdout_exits_1_silently_keeping_files(self, data_dir, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the grid is printed
+        try:
+            result = run_cli(["compare", *cli_args(data_dir, tmp_path, grades=True)], write_end)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, "")
+        assert read_rows(tmp_path / "compare.csv")[0] == ["question_id", "metric", "ngram", "rmse"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_exits_1_with_one_error_line_keeping_files(self, data_dir, tmp_path):
+        with open("/dev/full", "wb") as full:
+            result = run_cli(["compare", *cli_args(data_dir, tmp_path, grades=True)], full)
+        assert result.returncode == 1
+        assert result.stderr == f"error: <stdout>: {os.strerror(errno.ENOSPC)}\n"
+        assert read_rows(tmp_path / "compare.csv")[0] == ["question_id", "metric", "ngram", "rmse"]
 
 
 class TestHugeValues:

@@ -3,7 +3,8 @@
 A seeded generator writes small corpora in mixed scripts, with blank
 answers, random lexicons, weights from 0 to 10 and multi-line answers.
 For every (metric, n) cell the library's records and totals must match
-``tests/oracle.py`` to 1e-9, and the CLI's ``compare.csv`` must match the
+``tests/oracle.py`` to 1e-9 and equal those of one ``cells`` call over the
+whole grid exactly, and the CLI's ``compare.csv`` must match the
 oracle's RMSE at its printed precision. The seeds are fixed, so every run
 checks the same corpora.
 """
@@ -166,6 +167,11 @@ def test_library_matches_oracle(tmp_path, seed):
         qid for qid, text, _ in o_model
         if qid in answered and not oracle.pipeline(text, o_stop, o_norm)
     ]
+    if tokenless:
+        with pytest.raises(EssayScoreError, match="model answer has no terms"):
+            score_corpus(answers, questions, lexicons, cells=CELLS)
+    else:
+        grid = dict(zip(CELLS, score_corpus(answers, questions, lexicons, cells=CELLS)))
     for metric, n in CELLS:
         expected, expected_totals = oracle.score_corpus(
             o_answers, o_model, o_stop, o_norm, metric, n
@@ -178,6 +184,8 @@ def test_library_matches_oracle(tmp_path, seed):
                 score_corpus(answers, questions, lexicons, metric=metric, n=n)
             continue
         records = score_corpus(answers, questions, lexicons, metric=metric, n=n)
+        # the one-pass grid gives the one-cell call's records exactly
+        assert grid[(metric, n)] == records, (metric, n)
         assert len(records) == len(expected)
         for r in records:
             similarity, points = expected[(r.student_id, r.question_id)]

@@ -115,12 +115,34 @@ class TestScoreCorpus:
         [
             ({"metric": "dice"}, r"metric must be one of \('cosine', 'jaccard'\), got 'dice'"),
             ({"n": 4}, r"n-gram size must be one of \(1, 2, 3\), got 4"),
+            (
+                {"cells": [("cosine", 1), ("dice", 1)]},
+                r"metric must be one of \('cosine', 'jaccard'\), got 'dice'",
+            ),
+            ({"cells": [("cosine", 1), ("jaccard", 4)]}, r"n-gram size must be one of \(1, 2, 3\), got 4"),
         ],
-        ids=["metric", "n"],
+        ids=["metric", "n", "cell-metric", "cell-n"],
     )
-    def test_bad_metric_or_n_rejected(self, answers, config, message):
+    def test_bad_metric_or_n_rejected(self, answers, config, message, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scoring, "preprocess_pipeline", lambda *args: calls.append(args))
         with pytest.raises(EssayScoreError, match=message):
             score_corpus(answers, [make_question()], EMPTY, **config)
+        assert calls == []  # rejected before any document is preprocessed
+
+    def test_cells_yield_each_cell_in_order(self, corpus):
+        answers, questions, _, lexicons = corpus
+        cells = [("jaccard", 2), ("cosine", 1), ("jaccard", 2), ("cosine", 3)]
+        grid = score_corpus(answers, questions, lexicons, cells=cells)
+        assert list(grid) == [
+            score_corpus(answers, questions, lexicons, metric=m, n=n) for m, n in cells
+        ]
+
+    def test_cells_score_every_question_before_returning(self):
+        answers = [RawEssay("s1", "q1", "cat"), RawEssay("s1", "q2", "dog")]
+        questions = [make_question(text="cat"), QuestionSpec("q2", "123 !?", 1.0)]
+        with pytest.raises(EssayScoreError, match="question 'q2': model answer has no terms"):
+            score_corpus(answers, questions, EMPTY, cells=[("cosine", 1)])
 
     @pytest.mark.parametrize("answers", [[], [RawEssay("s1", "q1", "cat sat mat")]], ids=["empty", "one"])
     @pytest.mark.parametrize("log_base", [1.0, 0.5, 0.0, -2.0, math.inf, math.nan])
