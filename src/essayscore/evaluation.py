@@ -166,8 +166,11 @@ def _betacf(a: float, b: float, x: float) -> float:
     )
 
 
-def _regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
+def _regularized_incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) for a, b > 0, x in [0, 1] and y = 1 - x.
+
+    The caller computes y itself, since ``1.0 - x`` cancels when x is near 1.
+    """
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -177,13 +180,13 @@ def _regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         - math.lgamma(a)
         - math.lgamma(b)
         + a * math.log(x)
-        + b * math.log(1.0 - x)
+        + b * math.log(y)
     )
     front = math.exp(ln_front)
     # use the continued fraction on the side where it converges fast
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return 1.0 - front * _betacf(b, a, y) / b
 
 
 def f_survival(f: float, df1: int, df2: int) -> float:
@@ -192,8 +195,9 @@ def f_survival(f: float, df1: int, df2: int) -> float:
         raise EssayScoreError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
     if not f >= 0:  # also catches NaN
         raise EssayScoreError(f"f statistic must be nonnegative, got {f}")
-    x = df2 / (df2 + df1 * f)
-    return _regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)
+    # 1 - x is df1·f / (df2 + df1·f); taken as 1.0 - x it loses digits when F ≪ df2
+    total = df2 + df1 * f
+    return _regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, df2 / total, df1 * f / total)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,25 @@ kept token, one string per distinct gram and token, and one term table.
 A dict is used rather than sys.intern because interned strings outlive
 the question: after 200,000 of them are released, CPython 3.12.1 still
 holds 21.8 of their 23.4 MiB, and 3.11 and 3.13 keep a 7.3 MiB table.
+
+Questions share nothing once their model answers are checked, so they are
+scored in parallel: one share of questions per CPU this process may use,
+balanced by answer text, the first scored here and each other one in a
+forked child that sends its similarities back as raw doubles, so every
+value arrives bit for bit and outputs do not depend on the CPU count. A
+corpus with less answer text than _PARALLEL_MIN_CHARS, a platform without
+fork, and a process running other Python threads are scored here alone.
+Children are forked, not spawned: a fork shares the loaded corpus and costs
+milliseconds, while a fresh interpreter would re-import the package and
+receive every answer pickled.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import warnings
 from array import array
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
@@ -73,7 +87,8 @@ def score_corpus(
     pass and returns an iterator that yields each cell's records in turn;
     without it the one cell ``metric``, ``n`` is scored and its records
     returned. Either way every cell is checked and every question scored
-    before the call returns.
+    before the call returns. Questions may be scored in forked child
+    processes (see the module docstring); the records are the same.
     """
     grid = cells is not None
     cells = list(cells) if grid else [(metric, n)]
@@ -98,41 +113,40 @@ def score_corpus(
             )
         by_question.setdefault(answer.question_id, []).append(i)
 
-    # one similarity per answer per cell; a cell's records are built when read
-    sims = [array("d", bytes(8 * len(answers))) for _ in cells]
-    for question_id, indices in by_question.items():
-        model_tokens = preprocess_pipeline(specs[question_id].model_answer, lexicons)
-        if not model_tokens:
+    # every model answer is checked before any question is scored or any
+    # child forked
+    model_tokens = {}
+    for question_id in by_question:
+        tokens = preprocess_pipeline(specs[question_id].model_answer, lexicons)
+        if not tokens:
             raise EssayScoreError(
                 f"question {question_id!r}: model answer has no terms after preprocessing"
             )
-        token_lists = chain(
-            [model_tokens], (preprocess_pipeline(answers[i].text, lexicons) for i in indices)
-        )
-        if len(by_size) > 1:
-            # every size reads the tokens, so equal tokens share one str
-            first: dict[str, str] = {}
-            token_lists = [list(map(first.setdefault, tokens, tokens)) for tokens in token_lists]
-            del first
-        for size, scorers in by_size.items():
-            # each gram maps to its first instance, so equal grams share one str;
-            # the table goes before the fit, which builds the question's term table
-            first = {}
-            docs = [
-                list(map(first.setdefault, grams, grams))
-                for grams in map(extract_ngrams, token_lists, repeat(size))
-            ]
-            del first
-            vocab = fit_vocabulary(docs, log_base=log_base)
-            # the model vector is scaled and normed once, not once per answer
-            q_vec = _prepare_query(transform(docs[0], vocab))
-            for i, grams in zip(indices, docs[1:]):
-                d_vec = transform(grams, vocab)
-                for c, similarity in scorers:
-                    sims[c][i] = similarity(d_vec, q_vec)
-            # drop these grams before the next size's or question's are built
-            del docs, vocab
-        del token_lists  # and any kept tokens before the next question's
+        model_tokens[question_id] = tokens
+
+    def score_share(share: list[str]) -> array:
+        """The share's similarities: question by question, cell by cell, answer by answer."""
+        out = array("d")
+        for question_id in share:
+            texts = [answers[i].text for i in by_question[question_id]]
+            for column in _score_question(
+                model_tokens.pop(question_id), texts, lexicons, by_size, log_base
+            ):
+                out += column
+        return out
+
+    text_chars = {q: sum(len(answers[i].text) for i in ids) for q, ids in by_question.items()}
+    shares = _shares(text_chars, _worker_count(sum(text_chars.values()), len(text_chars)))
+    counts = {q: len(cells) * len(ids) for q, ids in by_question.items()}
+    # one similarity per answer per cell; a cell's records are built when read
+    sims = [array("d", bytes(8 * len(answers))) for _ in cells]
+    for share, values in zip(shares, _score_shares(shares, counts, score_share)):
+        values = iter(values)
+        for question_id in share:
+            for column in sims:
+                # zip takes the index first, so it takes no value past the question
+                for i, value in zip(by_question[question_id], values):
+                    column[i] = value
 
     records = (
         [
@@ -150,3 +164,159 @@ def aggregate_totals(records: Sequence[ScoreRecord]) -> list[StudentScore]:
     for record in records:
         grouped.setdefault(record.student_id, []).append(record.points)
     return [StudentScore(sid, math.fsum(points)) for sid, points in grouped.items()]
+
+
+# a corpus with less answer text than this is scored in one process; below
+# it, forking costs more than the second CPU saves (measured on 2 CPUs)
+_PARALLEL_MIN_CHARS = 150_000
+
+
+def _score_question(
+    model_tokens: list[str],
+    texts: list[str],
+    lexicons: Lexicons,
+    by_size: dict[int, list[tuple[int, Callable]]],
+    log_base: float,
+) -> list[array]:
+    """One question's similarities: for each cell, one per answer text, in order.
+
+    ``by_size`` maps each n-gram size to the (cell index, similarity) pairs
+    scored at it.
+    """
+    columns = [array("d", bytes(8 * len(texts))) for _ in chain(*by_size.values())]
+    token_lists = chain([model_tokens], (preprocess_pipeline(text, lexicons) for text in texts))
+    if len(by_size) > 1:
+        # every size reads the tokens, so equal tokens share one str
+        first: dict[str, str] = {}
+        token_lists = [list(map(first.setdefault, tokens, tokens)) for tokens in token_lists]
+        del first
+    for size, scorers in by_size.items():
+        # each gram maps to its first instance, so equal grams share one str;
+        # the table goes before the fit, which builds the question's term table
+        first = {}
+        docs = [
+            list(map(first.setdefault, grams, grams))
+            for grams in map(extract_ngrams, token_lists, repeat(size))
+        ]
+        del first
+        vocab = fit_vocabulary(docs, log_base=log_base)
+        # the model vector is scaled and normed once, not once per answer
+        q_vec = _prepare_query(transform(docs[0], vocab))
+        for j, grams in enumerate(docs[1:]):
+            d_vec = transform(grams, vocab)
+            for c, similarity in scorers:
+                columns[c][j] = similarity(d_vec, q_vec)
+        # drop these grams before the next size's are built
+        del docs, vocab
+    return columns
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(text_chars: int, questions: int) -> int:
+    """How many processes score ``questions`` questions of ``text_chars`` answer text."""
+    threading = sys.modules.get("threading")
+    if (
+        text_chars < _PARALLEL_MIN_CHARS
+        or not hasattr(os, "fork")
+        # another thread may hold a lock, such as stderr's, that a child needs
+        or (threading is not None and threading.active_count() > 1)
+    ):
+        return 1
+    return max(1, min(_usable_cpus(), questions))
+
+
+def _shares(text_chars: dict[str, int], count: int) -> list[list[str]]:
+    """Split the questions into ``count`` shares of about equal answer text.
+
+    The longest question first, ties in the order given, each question joins
+    the share with the least text so far, the first such share on a tie.
+    """
+    shares: list[list[str]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for question_id in sorted(text_chars, key=text_chars.__getitem__, reverse=True):
+        k = loads.index(min(loads))
+        shares[k].append(question_id)
+        loads[k] += text_chars[question_id]
+    return shares
+
+
+def _score_shares(
+    shares: list[list[str]],
+    counts: dict[str, int],
+    score_share: Callable[[list[str]], array],
+) -> list[array]:
+    """Each share's ``score_share``: the first's from here, each other's from a forked child.
+
+    ``counts`` holds the number of similarities each question yields. A
+    child's values come back over a pipe, read in full before the child is
+    reaped; a child that fails or sends a wrong count is an error. No child
+    outlives the call: on any error, each one not yet reaped is killed and
+    reaped.
+    """
+    children = []  # (pid, read end, share) of each child not yet reaped
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # CPython 3.12+ warns when any other thread exists; no other
+                    # Python thread runs here (see _worker_count), so any other is
+                    # native, such as a BLAS pool, and holds no lock a child takes
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _child(write_end, share, score_share)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb"), share))
+        results = [score_share(shares[0])]
+        while children:
+            pid, reader, share = children[0]
+            with reader:
+                data = reader.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            expected = 8 * sum(counts[q] for q in share)
+            if status or len(data) != expected:
+                raise EssayScoreError(
+                    f"scoring questions {', '.join(map(repr, share))} in a child process "
+                    f"failed: exit status {status}, {len(data)} of {expected} bytes received"
+                )
+            results.append(array("d", data))
+        return results
+    finally:
+        if children:
+            import signal  # only a failed run needs it
+
+            for pid, reader, _ in children:
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(write_end: int, share: list[str], score_share: Callable[[list[str]], array]) -> None:
+    """Score ``share`` in a forked child, send its similarities and exit; never returns."""
+    status = 1
+    try:
+        try:
+            with open(write_end, "wb") as pipe:
+                pipe.write(score_share(share))
+            status = 0
+        except BaseException:
+            import traceback  # only a failed child needs it
+
+            traceback.print_exc()
+            sys.stderr.flush()
+    finally:
+        # leave without running the caller's cleanup or flushing copied buffers
+        os._exit(status)

@@ -485,6 +485,27 @@ class TestFileBoundary:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_failed_scoring_child_exit_1_without_creating_out(
+        self, data_dir, tmp_path, monkeypatch, capfd, workers
+    ):
+        parent = os.getpid()
+        original = scoring._score_question
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("planted fault")
+            return original(*args)
+
+        monkeypatch.setattr(scoring, "_score_question", failing)
+        workers.cpus(2)
+        assert main(["score", *cli_args(data_dir, tmp_path / "out")]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "in a child process failed" in errors[0]
+        assert workers.forks == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     def test_grades_matching_no_answer_exit_1_without_creating_out(
         self, data_dir, tmp_path, capsys, command

@@ -4,8 +4,9 @@ A seeded generator writes small corpora in mixed scripts, with blank
 answers, random lexicons, weights from 0 to 10 and multi-line answers.
 For every (metric, n) cell the library's records and totals must match
 ``tests/oracle.py`` to 1e-9 and equal those of one ``cells`` call over the
-whole grid exactly, and the CLI's ``compare.csv`` must match the
-oracle's RMSE at its printed precision. The seeds are fixed, so every run
+whole grid exactly, questions scored in parallel must give exactly the
+records of questions scored in one process, and the CLI's ``compare.csv``
+must match the oracle's RMSE at its printed precision. The seeds are fixed, so every run
 checks the same corpora.
 """
 
@@ -195,6 +196,31 @@ def test_library_matches_oracle(tmp_path, seed):
         assert totals.keys() == expected_totals.keys()
         for sid, total in totals.items():
             assert abs(total - expected_totals[sid]) <= 1e-9, (metric, n, sid)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_parallel_scoring_gives_the_same_bits(tmp_path, workers, seed):
+    paths = make_corpus(seed, tmp_path)
+    answers = load_answers(paths["answers"])
+    questions = load_model(paths["model"])
+    lexicons = load_lexicons(paths["stopwords"], paths["normalization"])
+
+    def outcome():
+        try:
+            return (
+                list(score_corpus(answers, questions, lexicons, cells=CELLS)),
+                [score_corpus(answers, questions, lexicons, metric=m, n=n) for m, n in CELLS],
+            )
+        except EssayScoreError as exc:
+            return str(exc)
+
+    workers.cpus(1)
+    sequential = outcome()
+    assert workers.forks == 0
+    workers.cpus(4)
+    assert outcome() == sequential
+    # a tokenless model answer is refused before any child is forked
+    assert (workers.forks > 0) == (not isinstance(sequential, str))
 
 
 def test_the_seeds_reach_every_case(tmp_path):

@@ -260,6 +260,17 @@ class TestFSurvival:
                         expected, abs=1e-6
                     )
 
+    def test_relative_accuracy_at_large_df(self):
+        # with F ≪ df2 the beta argument x is close to 1, so 1 - x taken as
+        # 1.0 - x loses digits; the error is relative and far below abs=1e-6
+        for df1 in (1, 2, 5):
+            for df2 in (10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000):
+                for f in (1e-9, 1e-8, 1e-6, 1e-4, 0.01, 0.5, 1.0, 2.0, 2.9):
+                    expected = float(scipy.stats.f.sf(f, df1, df2))
+                    assert f_survival(f, df1, df2) == pytest.approx(expected, rel=1e-7, abs=0), (
+                        df1, df2, f
+                    )
+
 
 def record(sid, qid, points):
     return ScoreRecord(sid, qid, similarity=0.5, points=points)

@@ -1,6 +1,8 @@
 """Scoring tests: per-question records, aggregation, and reproducibility."""
 
 import math
+import os
+import threading
 
 import pytest
 
@@ -231,6 +233,94 @@ class TestScoreCorpus:
         clones = [RawEssay(f"s{i}", "q1", question.model_answer) for i in (1, 2)]
         records = score_corpus(clones, [question], EMPTY, metric="cosine", n=1)
         assert all(r.similarity == 0.0 for r in records)
+
+
+class TestParallel:
+    """Questions scored in forked children give the records of one process."""
+
+    def both_ways(self, workers, cpus, *args, **kwargs):
+        workers.cpus(1)
+        sequential = score_corpus(*args, **kwargs)
+        workers.cpus(cpus)
+        assert score_corpus(*args, **kwargs) == sequential
+        return sequential
+
+    def test_more_cpus_than_questions(self, corpus, workers):
+        answers, questions, _, lexicons = corpus
+        self.both_ways(workers, 8, answers, questions, lexicons, metric="jaccard", n=2)
+        assert workers.forks == len(questions) - 1
+
+    def test_one_question_is_scored_here(self, workers):
+        answers = [RawEssay("s1", "q1", "dasar negara"), RawEssay("s2", "q1", "pancasila")]
+        self.both_ways(workers, 4, answers, [make_question()], EMPTY)
+        assert workers.forks == 0
+
+    def test_question_with_only_blank_answers(self, workers):
+        questions = [make_question(), QuestionSpec("q2", "ibu kota jakarta", 10.0)]
+        answers = [
+            RawEssay("s1", "q1", "dasar negara"),
+            RawEssay("s1", "q2", ""),
+            RawEssay("s2", "q1", "pancasila"),
+            RawEssay("s2", "q2", " ... "),
+        ]
+        records = self.both_ways(workers, 2, answers, questions, EMPTY)
+        assert workers.forks == 1
+        assert [r.similarity for r in records if r.question_id == "q2"] == [0.0, 0.0]
+
+    def test_tokenless_model_answer_in_last_question_forks_nothing(self, workers):
+        questions = [make_question(), QuestionSpec("q2", "cat", 1.0), QuestionSpec("q3", "...", 1.0)]
+        answers = [RawEssay("s1", q.question_id, "cat dasar") for q in questions]
+        workers.cpus(4)
+        with pytest.raises(EssayScoreError) as exc:
+            score_corpus(answers, questions, EMPTY)
+        assert str(exc.value) == "question 'q3': model answer has no terms after preprocessing"
+        assert workers.forks == 0
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_a_fault_reaps_every_child(self, corpus, workers, monkeypatch, capfd, where):
+        answers, questions, _, lexicons = corpus
+        parent = os.getpid()
+        original = scoring._score_question
+
+        def failing(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise RuntimeError("planted fault")
+            return original(*args)
+
+        monkeypatch.setattr(scoring, "_score_question", failing)
+        workers.cpus(2)
+        if where == "child":
+            with pytest.raises(EssayScoreError, match=r"in a child process failed: exit status 1"):
+                score_corpus(answers, questions, lexicons)
+            # the child reports its own traceback
+            assert "RuntimeError: planted fault" in capfd.readouterr().err
+        else:
+            with pytest.raises(RuntimeError, match="planted fault"):
+                score_corpus(answers, questions, lexicons)
+        assert workers.forks == 1
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(scoring, "_usable_cpus", lambda: 4)
+        big = scoring._PARALLEL_MIN_CHARS
+        assert scoring._worker_count(big, 3) == 3
+        assert scoring._worker_count(big, 9) == 4
+        assert scoring._worker_count(big - 1, 9) == 1
+        assert scoring._worker_count(big, 0) == 1
+        # another Python thread might hold a lock a child needs
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert scoring._worker_count(big, 9) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_shares_take_the_longest_question_first(self):
+        sizes = {"q1": 5, "q2": 9, "q3": 5, "q4": 1}
+        assert scoring._shares(sizes, 2) == [["q2", "q4"], ["q1", "q3"]]
+        assert scoring._shares(sizes, 1) == [["q2", "q1", "q3", "q4"]]
 
 
 class TestAggregation:
