@@ -27,10 +27,12 @@ holds 21.8 of their 23.4 MiB, and 3.11 and 3.13 keep a 7.3 MiB table.
 Questions share nothing once their model answers are checked, so they are
 scored in parallel: one share of questions per CPU this process may use,
 balanced by answer text, the first scored here and each other one in a
-forked child that sends its similarities back as raw doubles, so every
-value arrives bit for bit and outputs do not depend on the CPU count. A
-corpus with less answer text than _PARALLEL_MIN_CHARS, a platform without
-fork, and a process running other Python threads are scored here alone.
+forked child. Every similarity has its own slot in memory shared with the
+children, so each process writes its values in place, bit for bit, and
+outputs do not depend on the CPU count. A share whose fork fails is scored
+here too. A corpus with less answer text than _PARALLEL_MIN_CHARS, a
+platform without fork, and a process running other Python threads are
+scored here alone.
 Children are forked, not spawned: a fork shares the loaded corpus and costs
 milliseconds, while a fresh interpreter would re-import the package and
 receive every answer pickled.
@@ -39,10 +41,10 @@ receive every answer pickled.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import sys
 import warnings
-from array import array
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, repeat
@@ -124,29 +126,25 @@ def score_corpus(
             )
         model_tokens[question_id] = tokens
 
-    def score_share(share: list[str]) -> array:
-        """The share's similarities: question by question, cell by cell, answer by answer."""
-        out = array("d")
-        for question_id in share:
-            texts = [answers[i].text for i in by_question[question_id]]
-            for column in _score_question(
-                model_tokens.pop(question_id), texts, lexicons, by_size, log_base
-            ):
-                out += column
-        return out
+    # one similarity per answer per cell, in an anonymous mapping, which a
+    # forked child shares; a mapping may not be empty, so it has at least one
+    # slot. A cell's records are built when read.
+    count = len(answers)
+    shared = memoryview(mmap.mmap(-1, 8 * max(len(cells) * count, 1))).cast("d")
+    sims = [shared[c * count : (c + 1) * count] for c in range(len(cells))]
+
+    def score_share(share: list[str]) -> None:
+        """Write the similarities of the share's questions into ``sims``."""
+        for q in share:
+            _score_question(
+                model_tokens.pop(q), answers, by_question[q], sims, lexicons, by_size, log_base
+            )
 
     text_chars = {q: sum(len(answers[i].text) for i in ids) for q, ids in by_question.items()}
-    shares = _shares(text_chars, _worker_count(sum(text_chars.values()), len(text_chars)))
-    counts = {q: len(cells) * len(ids) for q, ids in by_question.items()}
-    # one similarity per answer per cell; a cell's records are built when read
-    sims = [array("d", bytes(8 * len(answers))) for _ in cells]
-    for share, values in zip(shares, _score_shares(shares, counts, score_share)):
-        values = iter(values)
-        for question_id in share:
-            for column in sims:
-                # zip takes the index first, so it takes no value past the question
-                for i, value in zip(by_question[question_id], values):
-                    column[i] = value
+    _score_shares(
+        _shares(text_chars, _worker_count(sum(text_chars.values()), len(text_chars))),
+        score_share,
+    )
 
     records = (
         [
@@ -173,17 +171,20 @@ _PARALLEL_MIN_CHARS = 150_000
 
 def _score_question(
     model_tokens: list[str],
-    texts: list[str],
+    answers: Sequence[RawEssay],
+    ids: list[int],
+    sims: list[memoryview],
     lexicons: Lexicons,
     by_size: dict[int, list[tuple[int, Callable]]],
     log_base: float,
-) -> list[array]:
-    """One question's similarities: for each cell, one per answer text, in order.
+) -> None:
+    """Score one question's answers, ``answers[i]`` for each ``i`` in ``ids``.
 
+    The similarity of answer ``i`` in cell ``c`` goes to ``sims[c][i]``.
     ``by_size`` maps each n-gram size to the (cell index, similarity) pairs
     scored at it.
     """
-    columns = [array("d", bytes(8 * len(texts))) for _ in chain(*by_size.values())]
+    texts = (answers[i].text for i in ids)
     token_lists = chain([model_tokens], (preprocess_pipeline(text, lexicons) for text in texts))
     if len(by_size) > 1:
         # every size reads the tokens, so equal tokens share one str
@@ -202,13 +203,12 @@ def _score_question(
         vocab = fit_vocabulary(docs, log_base=log_base)
         # the model vector is scaled and normed once, not once per answer
         q_vec = _prepare_query(transform(docs[0], vocab))
-        for j, grams in enumerate(docs[1:]):
+        for i, grams in zip(ids, docs[1:]):
             d_vec = transform(grams, vocab)
             for c, similarity in scorers:
-                columns[c][j] = similarity(d_vec, q_vec)
+                sims[c][i] = similarity(d_vec, q_vec)
         # drop these grams before the next size's are built
         del docs, vocab
-    return columns
 
 
 def _usable_cpus() -> int:
@@ -246,23 +246,18 @@ def _shares(text_chars: dict[str, int], count: int) -> list[list[str]]:
     return shares
 
 
-def _score_shares(
-    shares: list[list[str]],
-    counts: dict[str, int],
-    score_share: Callable[[list[str]], array],
-) -> list[array]:
-    """Each share's ``score_share``: the first's from here, each other's from a forked child.
+def _score_shares(shares: list[list[str]], score_share: Callable[[list[str]], None]) -> None:
+    """Run ``score_share`` on each share: the first here, each other in a forked child.
 
-    ``counts`` holds the number of similarities each question yields. A
-    child's values come back over a pipe, read in full before the child is
-    reaped; a child that fails or sends a wrong count is an error. No child
-    outlives the call: on any error, each one not yet reaped is killed and
-    reaped.
+    A share whose fork fails, as when no process is left, is scored here
+    after the first. A child exits 0 only once its whole share is written,
+    so any other exit status is an error. No child outlives the call: on
+    any error, each one not yet reaped is killed and reaped.
     """
-    children = []  # (pid, read end, share) of each child not yet reaped
+    here = shares[:1]
+    children = []  # (pid, share) of each child not yet reaped
     try:
         for share in shares[1:]:
-            read_end, write_end = os.pipe()
             try:
                 with warnings.catch_warnings():
                     # CPython 3.12+ warns when any other thread exists; no other
@@ -270,47 +265,38 @@ def _score_shares(
                     # native, such as a BLAS pool, and holds no lock a child takes
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
-            except BaseException:
-                os.close(read_end)
-                os.close(write_end)
-                raise
+            except OSError:
+                here.append(share)
+                continue
             if pid == 0:
-                os.close(read_end)
-                _child(write_end, share, score_share)
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb"), share))
-        results = [score_share(shares[0])]
+                _child(share, score_share)
+            children.append((pid, share))
+        for share in here:
+            score_share(share)
         while children:
-            pid, reader, share = children[0]
-            with reader:
-                data = reader.read()
+            pid, share = children[0]
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
-            expected = 8 * sum(counts[q] for q in share)
-            if status or len(data) != expected:
+            if status:
                 raise EssayScoreError(
                     f"scoring questions {', '.join(map(repr, share))} in a child process "
-                    f"failed: exit status {status}, {len(data)} of {expected} bytes received"
+                    f"failed: exit status {status}"
                 )
-            results.append(array("d", data))
-        return results
     finally:
         if children:
             import signal  # only a failed run needs it
 
-            for pid, reader, _ in children:
-                reader.close()
+            for pid, _ in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _child(write_end: int, share: list[str], score_share: Callable[[list[str]], array]) -> None:
-    """Score ``share`` in a forked child, send its similarities and exit; never returns."""
+def _child(share: list[str], score_share: Callable[[list[str]], None]) -> None:
+    """Score ``share`` in a forked child and exit; never returns."""
     status = 1
     try:
         try:
-            with open(write_end, "wb") as pipe:
-                pipe.write(score_share(share))
+            score_share(share)
             status = 0
         except BaseException:
             import traceback  # only a failed child needs it

@@ -1,7 +1,9 @@
 """Scoring tests: per-question records, aggregation, and reproducibility."""
 
+import errno
 import math
 import os
+import signal
 import threading
 
 import pytest
@@ -298,6 +300,51 @@ class TestParallel:
             with pytest.raises(RuntimeError, match="planted fault"):
                 score_corpus(answers, questions, lexicons)
         assert workers.forks == 1
+
+    def test_a_child_killed_by_a_signal_is_an_error(self, corpus, workers, monkeypatch):
+        answers, questions, _, lexicons = corpus
+        parent = os.getpid()
+        original = scoring._score_question
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args)
+
+        monkeypatch.setattr(scoring, "_score_question", killed)
+        workers.cpus(2)
+        with pytest.raises(EssayScoreError, match=r"in a child process failed: exit status -9"):
+            score_corpus(answers, questions, lexicons)
+        assert workers.forks == 1
+
+    def test_a_refused_fork_scores_its_share_here(self, corpus, workers, monkeypatch):
+        answers, questions, _, lexicons = corpus
+        cells = [("cosine", 1), ("jaccard", 2)]
+        workers.cpus(1)
+        sequential = list(score_corpus(answers, questions, lexicons, cells=cells))
+        fork = os.fork
+
+        def second_refused():
+            if workers.forks == 1:
+                # what a full process table gives
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_refused)
+        workers.cpus(3)
+        assert list(score_corpus(answers, questions, lexicons, cells=cells)) == sequential
+        assert workers.forks == 1
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_nothing_to_score(self, workers, cpus):
+        questions = [make_question(), QuestionSpec("q2", "ibu kota jakarta", 10.0)]
+        answers = [RawEssay("s1", "q1", "dasar negara"), RawEssay("s1", "q2", "jakarta")]
+        workers.cpus(cpus)
+        assert score_corpus([], questions, EMPTY) == []
+        grid = score_corpus([], questions, EMPTY, cells=[("cosine", 1), ("jaccard", 2)])
+        assert list(grid) == [[], []]
+        assert list(score_corpus(answers, questions, EMPTY, cells=[])) == []
+        assert workers.forks == (cpus > 1)
 
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(scoring, "_usable_cpus", lambda: 4)
