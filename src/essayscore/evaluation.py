@@ -6,13 +6,15 @@ repeated-measures ANOVA. RMSE takes one (human score, system score) pair
 per student, or per student-question when evaluating a single question.
 With exactly two within-subject conditions the repeated-measures ANOVA
 reduces analytically to the paired t-test, so it is computed that way:
-F = t^2 with error df = n - 1. Effect size is partial eta squared,
-eta^2 = F / (F + df_error), and Wilks's lambda is its complement,
-1 - eta^2.
+F = t^2 with error df = n - 1, where t = 100·sqrt(n) / cv is read from
+``descriptive_stats`` of the paired differences. Effect size is partial
+eta squared, eta^2 = F / (F + df_error), and Wilks's lambda is its
+complement, 1 - eta^2.
 
 The F tail probability is evaluated from scratch via the regularized
-incomplete beta function (continued fraction, 200-iteration cap, 1e-12
-convergence) so the package needs no statistics library.
+incomplete beta function (continued fraction, 200 + sqrt(max(a, b))
+iteration cap, 1e-12 convergence) so the package needs no statistics
+library.
 """
 
 from __future__ import annotations
@@ -67,9 +69,7 @@ def descriptive_stats(values: Sequence[float]) -> DescriptiveStats:
     scale = math.ldexp(1.0, math.frexp(max(map(abs, values)))[1] - 1)
     scaled = [x / scale for x in values]
     mean = math.fsum(scaled) / n
-    if n == 1:
-        return DescriptiveStats(mean=mean * scale, std=math.nan, cv=math.nan)
-    std = math.sqrt(math.fsum((x - mean) ** 2 for x in scaled) / (n - 1))
+    std = math.sqrt(math.fsum((x - mean) ** 2 for x in scaled) / (n - 1)) if n > 1 else math.nan
     cv = std / mean * 100.0 if mean != 0.0 else math.nan
     return DescriptiveStats(mean=mean * scale, std=std * scale, cv=cv)
 
@@ -87,29 +87,25 @@ class AnovaResult(namedtuple("AnovaResult", "f p eta_sq wilks_lambda df_error"))
 def repeated_measures_anova(a: Sequence[float], b: Sequence[float]) -> AnovaResult:
     """Compare two score conditions measured on the same subjects.
 
-    Computed from the paired differences: t = mean(d) / (sd(d) / sqrt(n)),
-    F = t^2 on (1, n-1) degrees of freedom.
+    Computed from the paired differences: t = mean(d) / (sd(d) / sqrt(n))
+    = 100·sqrt(n) / cv(d), F = t^2 on (1, n-1) degrees of freedom.
     """
     if len(a) != len(b):
         raise EssayScoreError(f"paired lists differ in length: {len(a)} vs {len(b)}")
     n = len(a)
     if n < _ANOVA_MIN_SUBJECTS:
         raise EssayScoreError(f"need at least {_ANOVA_MIN_SUBJECTS} subjects, got {n}")
-    diffs = [x - y for x, y in zip(a, b)]
+    # cv is a ratio taken before descriptive_stats scales back, so it keeps
+    # every bit even for subnormal differences; mean / std would not
+    cv = descriptive_stats([x - y for x, y in zip(a, b)]).cv
     df_error = n - 1
-    scale = max(abs(d) for d in diffs)
-    if scale == 0.0:
-        # the two conditions are identical: no effect at all
+    if math.isnan(cv):
+        # the mean difference is zero: no effect at all
         return AnovaResult(0.0, 1.0, 0.0, 1.0, df_error)
-    # t is scale-free; dividing by the largest difference keeps the variance
-    # of tiny differences from underflowing to a zero standard error
-    diffs = [d / scale for d in diffs]
-    mean_d = math.fsum(diffs) / n
-    var_d = math.fsum((d - mean_d) ** 2 for d in diffs) / (n - 1)
-    if var_d == 0.0:
+    if cv == 0.0:
+        # every difference is equal and nonzero
         return AnovaResult(math.inf, 0.0, 1.0, 0.0, df_error)
-    t = mean_d / math.sqrt(var_d / n)
-    f = t * t
+    f = n * (100.0 / cv) ** 2
     eta_sq = f / (f + df_error)
     return AnovaResult(
         f=f,
@@ -145,13 +141,11 @@ def _betacf(a: float, b: float, x: float) -> float:
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETACF_FPMIN:
-        d = _BETACF_FPMIN
-    d = 1.0 / d
+    # with c infinite the step leaves c = 1.0 and d = 1 / (1 - qab·x / qap) exactly
+    c, d = _lentz_step(-qab * x / qap, math.inf, 1.0)
     h = d
-    for m in range(1, _BETACF_MAX_ITER + 1):
+    # the fraction needs O(sqrt(max(a, b))) terms
+    for m in range(1, _BETACF_MAX_ITER + int(math.sqrt(max(a, b))) + 1):
         m2 = 2 * m
         c, d = _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), c, d)
         h *= d * c

@@ -72,8 +72,6 @@ def _open_input(path: Path):
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
-    except csv.Error as exc:
-        raise EssayScoreError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise EssayScoreError(f"{path}: not valid UTF-8 ({exc})") from exc
     except OSError as exc:
@@ -86,14 +84,18 @@ def _data_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
     """Read a CSV file, check its header, and return (line, row) for each data row.
 
     A row's line is the physical line it starts on, one past where the row
-    before it ended, so a quoted field spanning lines shifts no later row.
+    before it ended, so a quoted field spanning lines shifts no later row;
+    a CSV syntax error names the line its row starts on.
     """
     with _open_input(path) as fh:
         reader = csv.reader(fh, strict=True)
         rows, start = [], 1
-        for row in reader:
-            rows.append((start, row))
-            start = reader.line_num + 1
+        try:
+            for row in reader:
+                rows.append((start, row))
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise EssayScoreError(f"{path}: line {start}: {exc}") from exc
     if not rows or rows[0][1] != header:
         raise EssayScoreError(
             f"{path}: expected header {','.join(header)!r}, "

@@ -150,6 +150,18 @@ class TestEvaluateCommand:
         assert f >= 0.0 and 0.0 <= p <= 1.0
         assert lam + eta == pytest.approx(1.0, abs=1e-9)
 
+    def test_printed_statistics_pinned(self, data_dir, tmp_path):
+        assert main(["evaluate", *cli_args(data_dir, tmp_path, grades=True)]) == 0
+        assert (tmp_path / "stats.csv").read_bytes() == (
+            b"source,mean,std,cv\r\n"
+            b"system,27.1223,28.2529,104.1683\r\n"
+            b"human,59.5000,32.5115,54.6412\r\n"
+        )
+        assert (tmp_path / "anova.csv").read_bytes() == (
+            b"comparison,f,wilks_lambda,p,eta_sq,df_error\r\n"
+            b"system_vs_human,13.9167,0.17734,0.0335631,0.82266,3\r\n"
+        )
+
     def test_grades_equal_to_system_totals_give_zero_rmse(self, data_dir, tmp_path):
         records, _ = oracle_outputs(data_dir, "cosine", 1)
         grades_path = tmp_path / "grades.csv"

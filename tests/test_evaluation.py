@@ -170,10 +170,12 @@ class TestRepeatedMeasuresAnova:
 
     def test_tiny_differences_do_not_underflow(self):
         # d = [0, 0, 0, 0, -x]: mean -x/5, sd x/sqrt(5), so t = -1 for any x,
-        # though var(d) / n underflows to 0 for x this small
-        result = repeated_measures_anova([0.0] * 5, [0.0] * 4 + [7.667e-162])
-        assert result.f == pytest.approx(1.0, rel=1e-12)
-        assert not math.isinf(result.f)
+        # though var(d) / n underflows to 0 for x this small; for subnormal x
+        # the mean and std that descriptive_stats scales back lose bits too
+        for x in (7.667e-162, 3e-320, 5e-324):
+            result = repeated_measures_anova([0.0] * 5, [0.0] * 4 + [x])
+            assert result.f == pytest.approx(1.0, rel=1e-12), x
+            assert not math.isinf(result.f), x
 
     def test_length_mismatch(self):
         with pytest.raises(EssayScoreError, match="differ in length: 2 vs 3"):
@@ -270,6 +272,12 @@ class TestFSurvival:
                     assert f_survival(f, df1, df2) == pytest.approx(expected, rel=1e-7, abs=0), (
                         df1, df2, f
                     )
+
+    @pytest.mark.parametrize("df1, df2", [(10**6, 10**6), (10**7, 10**7), (10**6, 10**8)])
+    def test_converges_at_huge_df(self, df1, df2):
+        # the continued fraction needs O(sqrt(max(a, b))) terms here, far past 200
+        expected = float(scipy.stats.f.sf(1.0, df1, df2))
+        assert f_survival(1.0, df1, df2) == pytest.approx(expected, rel=1e-6)
 
 
 def record(sid, qid, points):

@@ -74,6 +74,19 @@ class TestLoadAnswers:
         with pytest.raises(EssayScoreError, match="unexpected end of data"):
             load_answers(p)
 
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ('s2,q1,"bad"x\n', "line 3: ',' expected after '\"'"),
+            ('s2,q1,"never\nclosed\n', "line 3: unexpected end of data"),
+        ],
+    )
+    def test_csv_syntax_error_names_line(self, tmp_path, last, message):
+        p = write(tmp_path / "a.csv", "student_id,question_id,answer_text\ns1,q1,ok\n" + last)
+        with pytest.raises(EssayScoreError) as info:
+            load_answers(p)
+        assert str(info.value) == f"{p}: {message}"
+
     def test_csv_field_size_limit_restored(self, data_dir, tmp_path):
         # the limit is process-wide; loading must leave the caller's in place
         bad = write(tmp_path / "a.csv", 'student_id,question_id,answer_text\ns1,q1,"x\n')
