@@ -69,7 +69,9 @@ def descriptive_stats(values: Sequence[float]) -> DescriptiveStats:
     scale = math.ldexp(1.0, math.frexp(max(map(abs, values)))[1] - 1)
     scaled = [x / scale for x in values]
     mean = math.fsum(scaled) / n
-    std = math.sqrt(math.fsum((x - mean) ** 2 for x in scaled) / (n - 1)) if n > 1 else math.nan
+    std = math.nan  # a single value has no sample spread
+    if n > 1:
+        std = math.sqrt(math.fsum((x - mean) ** 2 for x in scaled) / (n - 1))
     cv = std / mean * 100.0 if mean != 0.0 else math.nan
     return DescriptiveStats(mean=mean * scale, std=std * scale, cv=cv)
 
@@ -95,17 +97,18 @@ def repeated_measures_anova(a: Sequence[float], b: Sequence[float]) -> AnovaResu
     n = len(a)
     if n < _ANOVA_MIN_SUBJECTS:
         raise EssayScoreError(f"need at least {_ANOVA_MIN_SUBJECTS} subjects, got {n}")
-    # cv is a ratio taken before descriptive_stats scales back, so it keeps
-    # every bit even for subnormal differences; mean / std would not
-    cv = descriptive_stats([x - y for x, y in zip(a, b)]).cv
+    diffs = [x - y for x, y in zip(a, b)]
     df_error = n - 1
-    if math.isnan(cv):
-        # the mean difference is zero: no effect at all
-        return AnovaResult(0.0, 1.0, 0.0, 1.0, df_error)
-    if cv == 0.0:
-        # every difference is equal and nonzero
+    if not all(map(math.isfinite, diffs)):
+        f = math.nan  # f_survival rejects it
+    elif min(diffs) == max(diffs) != 0.0:
+        # equal nonzero differences, tested exactly: a rounded mean gives them a spread
         return AnovaResult(math.inf, 0.0, 1.0, 0.0, df_error)
-    f = n * (100.0 / cv) ** 2
+    else:
+        # cv is a ratio taken before descriptive_stats scales back, so subnormal
+        # differences keep every bit; it is NaN when the mean difference is 0
+        cv = descriptive_stats(diffs).cv
+        f = 0.0 if math.isnan(cv) else n * (100.0 / cv) ** 2
     eta_sq = f / (f + df_error)
     return AnovaResult(
         f=f,

@@ -162,11 +162,28 @@ class TestRepeatedMeasuresAnova:
         assert not math.isinf(result.f)
 
     def test_degenerate_constant_nonzero_difference(self):
-        result = repeated_measures_anova([3.0, 4.0, 5.0], [1.0, 2.0, 3.0])
-        assert math.isinf(result.f)
-        assert result.p == 0.0
-        assert result.eta_sq == 1.0
-        assert result.wilks_lambda == 0.0
+        # 0.1 scales inexactly, so a rounded mean would leave a spread of one ulp
+        for a, b in (([3.0, 4.0, 5.0], [1.0, 2.0, 3.0]), ([0.1] * 3, [0.0] * 3)):
+            result = repeated_measures_anova(a, b)
+            assert math.isinf(result.f), a
+            assert result.p == 0.0
+            assert result.eta_sq == 1.0
+            assert result.wilks_lambda == 0.0
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [1.0, math.nan, 2.0],
+            [0.0, math.nan, 0.0],
+            [math.nan] * 3,
+            [math.inf] * 3,
+            [math.inf, -math.inf, 0.0],
+            [1e308, 1e308, -1e308],
+        ],
+    )
+    def test_non_finite_difference_rejected(self, a):
+        with pytest.raises(EssayScoreError, match="f statistic must be nonnegative, got nan"):
+            repeated_measures_anova(a, [0.0, 0.0, 1e308])
 
     def test_tiny_differences_do_not_underflow(self):
         # d = [0, 0, 0, 0, -x]: mean -x/5, sd x/sqrt(5), so t = -1 for any x,
