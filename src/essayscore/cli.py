@@ -28,7 +28,18 @@ from pathlib import Path
 
 from .errors import EssayScoreError
 from .evaluation import EvaluationReport, build_report
-from .ingest import HumanGrade, RawEssay, load_answers, load_grades, load_lexicons, load_model
+from .ingest import (
+    ANSWERS_HEADER,
+    GRADES_HEADER,
+    HumanGrade,
+    RawEssay,
+    _data_rows,
+    _unmatchable_entries,
+    load_answers,
+    load_grades,
+    load_lexicons,
+    load_model,
+)
 from .ngrams import VALID_NGRAM_SIZES
 from .scoring import aggregate_totals, score_corpus
 from .similarity import SIMILARITY_METRICS
@@ -38,10 +49,27 @@ OutputFiles = dict[str, tuple[Sequence[str], Sequence[Sequence[str]]]]  # name -
 
 
 def _load_corpus(args: argparse.Namespace):
+    """Load every input the command reads, in flag order, and check that they agree.
+
+    The grades, for a command that reads them, are those of answered pairs.
+    """
     essays = load_answers(args.answers)
     questions = load_model(args.model)
     lexicons = load_lexicons(args.stopwords, args.normalization)
-    return essays, questions, lexicons
+    for message in _unmatchable_entries(lexicons, args.stopwords, args.normalization):
+        _warn(message)
+    grades = _answered_grades(args, essays) if "grades" in args else None
+    # score_corpus makes this check too, but knows no file; the answers file
+    # is read again for the line only on this error
+    known = {q.question_id for q in questions}
+    for k, essay in enumerate(essays):
+        if essay.question_id not in known:
+            raise EssayScoreError(
+                f"{args.answers}: line {_data_rows(args.answers, ANSWERS_HEADER)[0][k]}: "
+                f"answer {essay.student_id!r} refers to unknown question "
+                f"{essay.question_id!r} (not in {args.model})"
+            )
+    return essays, questions, lexicons, grades
 
 
 def _write_outputs(out: Path, files: OutputFiles) -> None:
@@ -70,8 +98,9 @@ def _write_outputs(out: Path, files: OutputFiles) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_score(args: argparse.Namespace) -> OutputFiles:
-    essays, questions, lexicons = _load_corpus(args)
+    essays, questions, lexicons, _ = _load_corpus(args)
     records = score_corpus(essays, questions, lexicons, metric=args.metric, n=args.ngram)
+    del essays  # the answer texts are not read again
     score_rows = sorted(
         (r.student_id, r.question_id, f"{r.similarity:.4f}", f"{r.points:.2f}")
         for r in records
@@ -97,7 +126,8 @@ def _answered_grades(args: argparse.Namespace, essays: Sequence[RawEssay]) -> li
     """Load the grades and keep the rows whose (student, question) was answered.
 
     Keeping none is an error naming the grades file; the rows dropped are
-    counted in one warning.
+    counted in one warning naming the file and, read again for it, the line
+    of the first.
     """
     grades = load_grades(args.grades)
     answered = {(e.student_id, e.question_id) for e in essays}
@@ -105,9 +135,13 @@ def _answered_grades(args: argparse.Namespace, essays: Sequence[RawEssay]) -> li
     if not kept:
         raise EssayScoreError(f"{args.grades}: no grade row matches a scored answer")
     if len(kept) < len(grades):
+        first = next(
+            k for k, g in enumerate(grades) if (g.student_id, g.question_id) not in answered
+        )
         _warn(
-            f"skipped {len(grades) - len(kept)} grade row(s) "
-            f"referencing unknown students or unanswered questions"
+            f"{args.grades}: skipped {len(grades) - len(kept)} grade row(s) "
+            f"referencing unknown students or unanswered questions, the first on line "
+            f"{_data_rows(args.grades, GRADES_HEADER)[0][first]}"
         )
     return kept
 
@@ -145,9 +179,9 @@ def _stats_rows(report: EvaluationReport) -> list[tuple[str, ...]]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> OutputFiles:
-    essays, questions, lexicons = _load_corpus(args)
-    grades = _answered_grades(args, essays)
+    essays, questions, lexicons, grades = _load_corpus(args)
     records = score_corpus(essays, questions, lexicons, metric=args.metric, n=args.ngram)
+    del essays  # the answer texts are not read again
     report = build_report(records, grades)
     rmse_rows = sorted(_rmse_rows(report, args.metric, args.ngram))
     stats_rows = _stats_rows(report)
@@ -206,10 +240,10 @@ def _print_grid(rows: list[tuple[str, str, str, str]]) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> OutputFiles:
-    essays, questions, lexicons = _load_corpus(args)
-    grades = _answered_grades(args, essays)
+    essays, questions, lexicons, grades = _load_corpus(args)
     cells = [(metric, ngram) for metric in METRIC_CHOICES for ngram in VALID_NGRAM_SIZES]
     grid = score_corpus(essays, questions, lexicons, cells=cells)
+    del essays  # the grid reads the answers' ids until its last cell is built
     all_rows: list[tuple[str, str, str, str]] = []
     for metric, ngram in cells:
         records = next(grid)

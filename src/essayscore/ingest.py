@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import namedtuple
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from types import MappingProxyType
@@ -73,40 +74,61 @@ def _open_input(path: Path):
         with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
-        raise EssayScoreError(f"{path}: not valid UTF-8 ({exc})") from exc
+        raise EssayScoreError(f"{path}: not valid UTF-8 ({_first_non_utf8(path, exc)})") from exc
     except OSError as exc:
         raise EssayScoreError(f"{path}: {exc.strerror}") from exc
     finally:
         csv.field_size_limit(old_limit)
 
 
-def _data_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
-    """Read a CSV file, check its header, and return (line, row) for each data row.
+def _first_non_utf8(path: Path, exc: UnicodeDecodeError) -> str:
+    """The file's first byte that does not decode as UTF-8, and the line it is on.
+
+    ``exc``, the text reader's error, counts its position from the start of
+    the chunk it was decoding, so the whole file is decoded again; lines end
+    at LF, CR or CRLF, as for the readers. A file that now decodes is
+    described by ``exc``.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        line = len((data[: whole.start] + b".").splitlines())
+        return f"byte {data[whole.start]:#04x} on line {line}"
+    return str(exc)
+
+
+def _data_rows(path: Path, header: list[str]) -> tuple[list[int], list[list[str]]]:
+    """Read a CSV file, check its header, and return each data row's line and the rows.
 
     A row's line is the physical line it starts on, one past where the row
     before it ended, so a quoted field spanning lines shifts no later row;
-    a CSV syntax error names the line its row starts on.
+    a CSV syntax error names the line its row starts on. The whole file is
+    read before any row is checked, so a syntax error anywhere comes first.
     """
     with _open_input(path) as fh:
         reader = csv.reader(fh, strict=True)
-        rows, start = [], 1
+        rows, lines, start = [], [], 1
         try:
+            got = next(reader, None)
+            start = reader.line_num + 1
             for row in reader:
-                rows.append((start, row))
+                rows.append(row)
+                lines.append(start)
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise EssayScoreError(f"{path}: line {start}: {exc}") from exc
-    if not rows or rows[0][1] != header:
+    if got != header:
         raise EssayScoreError(
             f"{path}: expected header {','.join(header)!r}, "
-            f"got {','.join(rows[0][1]) if rows else '<empty file>'!r}"
+            f"got {','.join(got) if got is not None else '<empty file>'!r}"
         )
-    for i, row in rows[1:]:
+    for row, line in zip(rows, lines):
         if len(row) != len(header):
             raise EssayScoreError(
-                f"{path}: line {i}: expected {len(header)} fields, got {len(row)}"
+                f"{path}: line {line}: expected {len(header)} fields, got {len(row)}"
             )
-    return rows[1:]
+    return lines, rows
 
 
 def _parse_number(text: str, path: Path, line: int, column: str) -> float:
@@ -136,23 +158,37 @@ def _check_column_sum(values: list[float], path: Path, column: str) -> None:
         raise EssayScoreError(f"{path}: {column} column sums past the largest float")
 
 
+def _keyed_rows(
+    path: Path, header: list[str], record: type, last: Callable[[str, int], object], kind: str
+) -> list:
+    """Each data row of a file keyed by (student_id, question_id), as a ``record``.
+
+    ``last`` makes the record's last field from the row's last cell and its
+    line. Each id passes through a dict mapping it to its first instance, so
+    equal ids share one str, and each row gives way to its record as it is
+    checked, so the rows and the records are not all held at once.
+    """
+    lines, records = _data_rows(path, header)
+    seen: set[tuple[str, str]] = set()
+    first: dict[str, str] = {}
+    for k, (i, (student_id, question_id, cell)) in enumerate(zip(lines, records)):
+        value = last(cell, i)
+        key = (first.setdefault(student_id, student_id), first.setdefault(question_id, question_id))
+        _check_key(key, "student_id or question_id", path, i)
+        if key in seen:
+            raise EssayScoreError(f"{path}: line {i}: duplicate {kind} for {key}")
+        seen.add(key)
+        records[k] = record(*key, value)
+    return records
+
+
 def load_answers(path: str | Path) -> list[RawEssay]:
     """Load the student answer corpus.
 
     Empty answer text is allowed (blank answers score zero downstream);
     empty identifiers and repeated (student_id, question_id) keys are not.
     """
-    path = Path(path)
-    essays: list[RawEssay] = []
-    seen: set[tuple[str, str]] = set()
-    for i, (student_id, question_id, text) in _data_rows(path, ANSWERS_HEADER):
-        key = (student_id, question_id)
-        _check_key(key, "student_id or question_id", path, i)
-        if key in seen:
-            raise EssayScoreError(f"{path}: line {i}: duplicate answer for {key}")
-        seen.add(key)
-        essays.append(RawEssay(student_id, question_id, text))
-    return essays
+    return _keyed_rows(Path(path), ANSWERS_HEADER, RawEssay, lambda text, _: text, "answer")
 
 
 def load_model(path: str | Path) -> list[QuestionSpec]:
@@ -160,7 +196,7 @@ def load_model(path: str | Path) -> list[QuestionSpec]:
     path = Path(path)
     specs: list[QuestionSpec] = []
     seen: set[str] = set()
-    for i, (question_id, model_answer, weight_text) in _data_rows(path, MODEL_HEADER):
+    for i, (question_id, model_answer, weight_text) in zip(*_data_rows(path, MODEL_HEADER)):
         weight = _parse_number(weight_text, path, i, "weight")
         _check_key((question_id,), "question_id", path, i)
         if not model_answer:
@@ -178,16 +214,13 @@ def load_model(path: str | Path) -> list[QuestionSpec]:
 def load_grades(path: str | Path) -> list[HumanGrade]:
     """Load the teacher's per-question grades."""
     path = Path(path)
-    grades: list[HumanGrade] = []
-    seen: set[tuple[str, str]] = set()
-    for i, (student_id, question_id, score_text) in _data_rows(path, GRADES_HEADER):
-        score = _parse_number(score_text, path, i, "score")
-        key = (student_id, question_id)
-        _check_key(key, "student_id or question_id", path, i)
-        if key in seen:
-            raise EssayScoreError(f"{path}: line {i}: duplicate grade for {key}")
-        seen.add(key)
-        grades.append(HumanGrade(student_id, question_id, score))
+    grades = _keyed_rows(
+        path,
+        GRADES_HEADER,
+        HumanGrade,
+        lambda text, line: _parse_number(text, path, line, "score"),
+        "grade",
+    )
     _check_column_sum([g.score for g in grades], path, "score")
     return grades
 
@@ -208,17 +241,66 @@ def load_lexicons(stopword_path: str | Path, normalization_path: str | Path) -> 
     """
     stopword_path = Path(stopword_path)
     normalization_path = Path(normalization_path)
-    stopwords: set[str] = set()
-    with _open_input(stopword_path) as fh:
-        for i, line in enumerate(fh, start=1):
-            entry = line.strip()
-            if not entry or entry.startswith("#"):
-                continue
-            stopwords.add(_check_single_token(entry, stopword_path, i))
-
+    stopwords = {
+        _check_single_token(entry, stopword_path, i)
+        for i, entry in _stopword_entries(stopword_path)
+    }
     normalization: dict[str, str] = {}
-    for i, (slang, formal) in _data_rows(normalization_path, NORMALIZATION_HEADER):
+    for i, (slang, formal) in zip(*_data_rows(normalization_path, NORMALIZATION_HEADER)):
         key = _check_single_token(slang, normalization_path, i)
         normalization[key] = _check_single_token(formal, normalization_path, i)
 
     return Lexicons(stopwords=frozenset(stopwords), normalization=normalization)
+
+
+def _stopword_entries(path: Path) -> Iterator[tuple[int, str]]:
+    """(line, entry) for each line of a stopword file that is not blank or a comment."""
+    with _open_input(path) as fh:
+        for i, line in enumerate(fh, start=1):
+            entry = line.strip()
+            if entry and not entry.startswith("#"):
+                yield i, entry
+
+
+def _is_token(entry: str) -> bool:
+    """Whether preprocessing can make the token ``entry``, a case-folded lexicon entry.
+
+    Cleaning keeps only letters, and lowercasing a letter gives letters, but
+    for "İ" (U+0130), whose lowercase "i̇" ends in a combining dot.
+    """
+    return entry.replace("i\u0307", "i").isalpha()
+
+
+def _unmatchable_entries(
+    lexicons: Lexicons, stopword_path: Path, normalization_path: Path
+) -> list[str]:
+    """A message naming the file and line of each lexicon entry that no token can equal.
+
+    A slang key matches only a token. A stopword matches a formal form, or a
+    token that no slang key rewrites. The files are read again only when
+    some entry can never match.
+    """
+    mapping = lexicons.normalization
+    formals = set(mapping.values())
+    dead_keys = {key for key in mapping if not _is_token(key)}
+    dead_words = {
+        word for word in lexicons.stopwords
+        if word not in formals and not (_is_token(word) and mapping.get(word, word) == word)
+    }
+    entries = []
+    if dead_words:
+        entries += [
+            (stopword_path, i, "stopword", entry)
+            for i, entry in _stopword_entries(stopword_path)
+            if entry.lower() in dead_words
+        ]
+    if dead_keys:
+        entries += [
+            (normalization_path, i, "slang", slang)
+            for i, (slang, _) in zip(*_data_rows(normalization_path, NORMALIZATION_HEADER))
+            if slang.lower() in dead_keys
+        ]
+    return [
+        f"{path}: line {i}: {kind} {entry!r} can never match: preprocessing never yields it"
+        for path, i, kind, entry in entries
+    ]

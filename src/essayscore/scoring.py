@@ -25,11 +25,12 @@ the question: after 200,000 of them are released, CPython 3.12.1 still
 holds 21.8 of their 23.4 MiB, and 3.11 and 3.13 keep a 7.3 MiB table.
 
 Questions share nothing once their model answers are checked, so they are
-scored in parallel: one share of questions per CPU this process may use,
-balanced by answer text, the first scored here and each other one in a
-forked child. Every similarity has its own slot in memory shared with the
-children, so each process writes its values in place, bit for bit, and
-outputs do not depend on the CPU count. A share whose fork fails is scored
+scored in parallel: one share of questions per CPU this process may use
+(its affinity mask, capped by its cgroup's CPU quota), balanced by answer
+text, the first scored here and each other one in a forked child. Every
+similarity has its own slot in memory shared with the children, so each
+process writes its values in place, bit for bit, and outputs do not depend
+on the CPU count. A share whose fork fails is scored
 here too. A corpus with less answer text than _PARALLEL_MIN_CHARS, a
 platform without fork, and a process running other Python threads are
 scored here alone.
@@ -48,6 +49,7 @@ import warnings
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, repeat
+from pathlib import Path
 
 from .errors import EssayScoreError
 from .ingest import Lexicons, QuestionSpec, RawEssay
@@ -145,6 +147,7 @@ def score_corpus(
         _shares(text_chars, _worker_count(sum(text_chars.values()), len(text_chars))),
         score_share,
     )
+    del by_question  # its answer indices go before the records are built
 
     records = (
         [
@@ -211,11 +214,40 @@ def _score_question(
         del docs, vocab
 
 
+# where the cgroup file system is mounted; a container sees its own cgroup here
+_CGROUP = Path("/sys/fs/cgroup")
+
+
 def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
+    """How many CPUs this process may run on, capped by a cgroup CPU quota."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return min(cpus, math.ceil(quota)) if quota else cpus
+
+
+def _cpu_quota() -> float | None:
+    """The CPUs' worth of time the cgroup allows per period; None if unlimited or unread.
+
+    cgroup v2 keeps "quota period" in cpu.max, with quota "max" for none; v1
+    keeps the quota in cpu/cpu.cfs_quota_us, -1 for none, and the period in
+    cpu/cpu.cfs_period_us.
+    """
+    try:
+        quota, period = (_CGROUP / "cpu.max").read_text().split()
+    except (OSError, ValueError):
+        try:
+            quota = (_CGROUP / "cpu" / "cpu.cfs_quota_us").read_text()
+            period = (_CGROUP / "cpu" / "cpu.cfs_period_us").read_text()
+        except OSError:
+            return None
+    try:
+        quota, period = int(quota), int(period)
+    except ValueError:
+        return None
+    return quota / period if quota > 0 and period > 0 else None
 
 
 def _worker_count(text_chars: int, questions: int) -> int:

@@ -350,8 +350,8 @@ class TestCompareCommand:
             if line.startswith("warning:")
         ]
         assert warnings == [
-            "warning: skipped 1 grade row(s) referencing unknown students "
-            "or unanswered questions"
+            f"warning: {grades_path}: skipped 1 grade row(s) referencing unknown students "
+            "or unanswered questions, the first on line 14"
         ]
 
     def test_empty_student_set_exits_1(self, data_dir, tmp_path, capsys):
@@ -517,6 +517,56 @@ class TestFileBoundary:
         assert len(errors) == 1 and "in a child process failed" in errors[0]
         assert workers.forks == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["score", "evaluate", "compare"])
+    def test_unknown_question_names_the_answers_line(self, data_dir, tmp_path, capsys, command):
+        answers = tmp_path / "answers.csv"
+        rows = read_rows(data_dir / "answers.csv")
+        rows[2][1] = "q9"  # line 3
+        write_csv(answers, rows[0], rows[1:])
+        args = cli_args(data_dir, tmp_path / "out", grades=command != "score")
+        args[args.index("--answers") + 1] = str(answers)
+        assert main([command, *args]) == 1
+        # for evaluate and compare, the grade of line 3's old pair is skipped first
+        *warnings, error = capsys.readouterr().err.splitlines()
+        assert len(warnings) == (command != "score")
+        assert error == (
+            f"error: {answers}: line 3: answer {rows[2][0]!r} refers to unknown question "
+            f"'q9' (not in {data_dir / 'model.csv'})"
+        )
+        assert not (tmp_path / "out").exists()
+        if command != "score":
+            # a bad grades file is still reported first
+            args[args.index("--grades") + 1] = str(tmp_path / "missing.csv")
+            assert main([command, *args]) == 1
+            assert capsys.readouterr().err.startswith("error: input file not found: ")
+
+    def test_unmatchable_lexicon_entries_warned_once_each(self, data_dir, tmp_path, capsys):
+        assert main(["score", *cli_args(data_dir, tmp_path / "plain")]) == 0
+        assert capsys.readouterr().err == ""
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text(
+            (data_dir / "stopwords.txt").read_text(encoding="utf-8") + "don't\n", encoding="utf-8"
+        )
+        normalization = tmp_path / "normalization.csv"
+        normalization.write_text(
+            (data_dir / "normalization.csv").read_text(encoding="utf-8") + "x1,y\n",
+            encoding="utf-8",
+        )
+        args = cli_args(data_dir, tmp_path / "out")
+        args[args.index("--stopwords") + 1] = str(stopwords)
+        args[args.index("--normalization") + 1] = str(normalization)
+        assert main(["score", *args]) == 0
+        stop_lines = len(stopwords.read_text(encoding="utf-8").splitlines())
+        norm_lines = len(normalization.read_text(encoding="utf-8").splitlines())
+        assert capsys.readouterr().err == (
+            f"warning: {stopwords}: line {stop_lines}: stopword \"don't\" can never match: "
+            f"preprocessing never yields it\n"
+            f"warning: {normalization}: line {norm_lines}: slang 'x1' can never match: "
+            f"preprocessing never yields it\n"
+        )
+        for name in ("scores.csv", "totals.csv"):
+            assert read_text(tmp_path / "out" / name) == read_text(tmp_path / "plain" / name)
 
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     def test_grades_matching_no_answer_exit_1_without_creating_out(

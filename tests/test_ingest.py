@@ -7,13 +7,16 @@ import pytest
 from essayscore import (
     EssayScoreError,
     HumanGrade,
+    Lexicons,
     QuestionSpec,
     RawEssay,
     load_answers,
     load_grades,
     load_lexicons,
     load_model,
+    preprocess_pipeline,
 )
+from essayscore.ingest import _unmatchable_entries
 
 
 def write(path, text):
@@ -299,6 +302,71 @@ class TestLoadLexicons:
         lex = load_lexicons(sp, np_)
         assert lex.stopwords == {"yang"}
         assert lex.normalization == {"gak": "tidak"}
+
+
+class TestUnmatchableEntries:
+    def test_each_named_with_its_file_and_line(self, tmp_path):
+        sp = write(tmp_path / "stop.txt", "# c\nyang\ndon't\nGK\nİstanbul\ntidak\n")
+        np_ = write(tmp_path / "norm.csv", "slang,formal\nx1,y\ngk,tidak\nİ,i\n")
+        lex = load_lexicons(sp, np_)
+        # "don't" and "x1" hold non-letters; "gk" is always rewritten to
+        # "tidak"; "i̇stanbul" and "i̇" are what "İstanbul" and "İ" fold to
+        assert preprocess_pipeline("don't x1 yang GK İstanbul", lex) == ["don", "t", "x"]
+        assert _unmatchable_entries(lex, sp, np_) == [
+            f"{sp}: line 3: stopword \"don't\" can never match: preprocessing never yields it",
+            f"{sp}: line 4: stopword 'GK' can never match: preprocessing never yields it",
+            f"{np_}: line 2: slang 'x1' can never match: preprocessing never yields it",
+        ]
+
+    def test_a_formal_form_can_be_a_stopword(self, tmp_path):
+        sp = write(tmp_path / "stop.txt", "x-ray\n")
+        np_ = write(tmp_path / "norm.csv", "slang,formal\nxray,x-ray\n")
+        lex = load_lexicons(sp, np_)
+        assert preprocess_pipeline("xray", lex) == []
+        assert _unmatchable_entries(lex, sp, np_) == []
+
+    def test_data_has_none(self, data_dir):
+        sp, np_ = data_dir / "stopwords.txt", data_dir / "normalization.csv"
+        assert _unmatchable_entries(load_lexicons(sp, np_), sp, np_) == []
+
+    def test_files_read_again_only_for_a_message(self, tmp_path):
+        lex = Lexicons(frozenset({"yang"}), {"gak": "tidak"})
+        missing = tmp_path / "missing"
+        assert _unmatchable_entries(lex, missing, missing) == []
+
+
+class TestIdsShared:
+    def test_one_object_per_distinct_id(self, tmp_path):
+        rows = "".join(f"s{s},q{q},{s}\n" for s in range(300, 303) for q in range(300, 302))
+        for loader, header in (
+            (load_answers, "student_id,question_id,answer_text"),
+            (load_grades, "student_id,question_id,score"),
+        ):
+            records = loader(write(tmp_path / "f.csv", f"{header}\n{rows}"))
+            ids = [r.student_id for r in records] + [r.question_id for r in records]
+            assert len({id(i) for i in ids}) == len(set(ids)) == 5
+
+
+class TestNonUtf8Position:
+    def test_byte_and_line_counted_from_the_start_of_the_file(self, tmp_path):
+        lines = ["student_id,question_id,answer_text"]
+        lines += [f"s{i},q1,jawaban nomor {i} tentang dasar negara" for i in range(1, 1001)]
+        data = "\n".join(lines).encode()
+        at = data.index(b"s699,")  # line 700
+        p = tmp_path / "a.csv"
+        p.write_bytes(data[:at + 4] + b"\xff" + data[at + 4:])
+        assert at > 8192  # past the text reader's first decode chunk
+        with pytest.raises(EssayScoreError) as exc:
+            load_answers(p)
+        assert str(exc.value) == f"{p}: not valid UTF-8 (byte 0xff on line 700)"
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_lines_end_as_the_reader_ends_them(self, tmp_path, newline):
+        p = tmp_path / "stop.txt"
+        p.write_bytes(newline.join([b"yang", b"dan", b"caf\xe9", b"di"]))
+        with pytest.raises(EssayScoreError) as exc:
+            load_lexicons(p, write(tmp_path / "norm.csv", "slang,formal\n"))
+        assert str(exc.value) == f"{p}: not valid UTF-8 (byte 0xe9 on line 3)"
 
 
 class TestPathInMessages:

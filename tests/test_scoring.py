@@ -364,6 +364,33 @@ class TestParallel:
             thread.join(timeout=10)
         assert not thread.is_alive()
 
+    @pytest.mark.parametrize(
+        "files, cpus",
+        [
+            ({"cpu.max": "150000 100000\n"}, 2),  # 1.5 CPUs, rounded up
+            ({"cpu.max": "100000 100000\n"}, 1),
+            ({"cpu.max": "1600000 100000\n"}, 8),  # above the mask
+            ({"cpu.max": "max 100000\n"}, 8),  # unlimited
+            ({"cpu.max": "garbage\n"}, 8),
+            ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+            ({"cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+            ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+            ({"cpu/cpu.cfs_quota_us": "250000\n"}, 8),  # no period to read
+            ({}, 8),
+        ],
+        ids=[
+            "v2-fraction", "v2-one", "v2-above-mask", "v2-max", "v2-garbage",
+            "v1-fraction", "v1-half", "v1-unlimited", "v1-no-period", "none",
+        ],
+    )
+    def test_cpu_quota_caps_the_affinity_mask(self, tmp_path, monkeypatch, files, cpus):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.setattr(scoring, "_CGROUP", tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert scoring._usable_cpus() == cpus
+
     def test_shares_take_the_longest_question_first(self):
         sizes = {"q1": 5, "q2": 9, "q3": 5, "q4": 1}
         assert scoring._shares(sizes, 2) == [["q2", "q4"], ["q1", "q3"]]
