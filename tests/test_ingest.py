@@ -263,6 +263,64 @@ class TestEmptyKey:
         assert str(exc.value) == f"{p}: line 2: {column} -1.0 is negative"
 
 
+class TestErrorRanking:
+    """With several faults in one file, the loader reports the one that ranks first.
+
+    A CSV syntax error anywhere comes first, then the header, then the first
+    row with the wrong field count, then the first problem with a row's
+    content, in row order.
+    """
+
+    @pytest.mark.parametrize(
+        "loader, text, message",
+        [
+            (
+                load_answers,
+                "student_id,question_id,answer_text\ns1,q1,a\ns1,q1,b\ns2,q1,c\ns3,q1\n",
+                "line 5: expected 3 fields, got 2",
+            ),
+            (
+                load_answers,
+                'student_id,question_id,answer_text\n,q1,a\ns2,q1,b\ns3,q1,"bad"x\n',
+                "line 4: ',' expected after '\"'",
+            ),
+            (
+                load_answers,
+                "sid,qid,text\ns1,q1\n",
+                "expected header 'student_id,question_id,answer_text', got 'sid,qid,text'",
+            ),
+            (
+                load_answers,
+                'sid,qid,text\ns1,q1,a\ns2,q1,"bad"x\n',
+                "line 3: ',' expected after '\"'",
+            ),
+            (
+                load_grades,
+                "student_id,question_id,score\ns1,q1,x\ns2,q1,5\ns3,q1\n",
+                "line 4: expected 3 fields, got 2",
+            ),
+            (
+                load_grades,
+                "student_id,question_id,score\ns1,q1,-1\n,q1,5\n",
+                "line 2: score -1.0 is negative",
+            ),
+        ],
+        ids=[
+            "duplicate-then-field-count",
+            "empty-id-then-syntax",
+            "header-then-field-count",
+            "header-then-syntax",
+            "number-then-field-count",
+            "number-then-empty-id",
+        ],
+    )
+    def test_first_ranked_fault_reported(self, tmp_path, loader, text, message):
+        p = write(tmp_path / "f.csv", text)
+        with pytest.raises(EssayScoreError) as exc:
+            loader(p)
+        assert str(exc.value) == f"{p}: {message}"
+
+
 class TestLoadLexicons:
     def test_stopwords_with_comment(self, tmp_path):
         sp = write(tmp_path / "stop.txt", "yang\ndan\n# comment\n\n")
