@@ -23,7 +23,7 @@ import errno
 import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 
 from .errors import EssayScoreError
@@ -31,9 +31,12 @@ from .evaluation import EvaluationReport, build_report
 from .ingest import (
     ANSWERS_HEADER,
     GRADES_HEADER,
+    MODEL_HEADER,
     HumanGrade,
+    Lexicons,
+    QuestionSpec,
     RawEssay,
-    _data_rows,
+    _read_rows,
     _unmatchable_entries,
     load_answers,
     load_grades,
@@ -41,7 +44,7 @@ from .ingest import (
     load_model,
 )
 from .ngrams import VALID_NGRAM_SIZES
-from .scoring import aggregate_totals, score_corpus
+from .scoring import _NO_TERMS, ScoreRecord, aggregate_totals, score_corpus
 from .similarity import SIMILARITY_METRICS
 
 METRIC_CHOICES = tuple(sorted(SIMILARITY_METRICS))
@@ -65,11 +68,42 @@ def _load_corpus(args: argparse.Namespace):
     for k, essay in enumerate(essays):
         if essay.question_id not in known:
             raise EssayScoreError(
-                f"{args.answers}: line {_data_rows(args.answers, ANSWERS_HEADER)[0][k]}: "
+                f"{args.answers}: line {_lines(args.answers, ANSWERS_HEADER)[k]}: "
                 f"answer {essay.student_id!r} refers to unknown question "
                 f"{essay.question_id!r} (not in {args.model})"
             )
     return essays, questions, lexicons, grades
+
+
+def _lines(path: Path, header: list[str]) -> list[int]:
+    """Each data row's line in a file already loaded, read again for a diagnostic."""
+    return _read_rows(path, header, lambda row, line: line)
+
+
+def _score(
+    args: argparse.Namespace,
+    essays: Sequence[RawEssay],
+    questions: Sequence[QuestionSpec],
+    lexicons: Lexicons,
+    cells: list[tuple[str, int]],
+) -> Iterator[list[ScoreRecord]]:
+    """``score_corpus`` over ``cells``, naming a model answer with no terms by file and line.
+
+    ``score_corpus`` names the question but knows no file; the model file is
+    read again for the line only on that error.
+    """
+    try:
+        return score_corpus(essays, questions, lexicons, cells=cells)
+    except EssayScoreError as exc:
+        k = next(
+            (k for k, q in enumerate(questions) if str(exc) == _NO_TERMS.format(q.question_id)),
+            None,
+        )
+        if k is None:
+            raise
+        raise EssayScoreError(
+            f"{args.model}: line {_lines(args.model, MODEL_HEADER)[k]}: {exc}"
+        ) from exc
 
 
 def _write_outputs(out: Path, files: OutputFiles) -> None:
@@ -99,8 +133,9 @@ def _write_outputs(out: Path, files: OutputFiles) -> None:
 
 def cmd_score(args: argparse.Namespace) -> OutputFiles:
     essays, questions, lexicons, _ = _load_corpus(args)
-    records = score_corpus(essays, questions, lexicons, metric=args.metric, n=args.ngram)
-    del essays  # the answer texts are not read again
+    grid = _score(args, essays, questions, lexicons, [(args.metric, args.ngram)])
+    del essays  # the answer texts go before any record is built
+    records = next(grid)
     score_rows = sorted(
         (r.student_id, r.question_id, f"{r.similarity:.4f}", f"{r.points:.2f}")
         for r in records
@@ -141,7 +176,7 @@ def _answered_grades(args: argparse.Namespace, essays: Sequence[RawEssay]) -> li
         _warn(
             f"{args.grades}: skipped {len(grades) - len(kept)} grade row(s) "
             f"referencing unknown students or unanswered questions, the first on line "
-            f"{_data_rows(args.grades, GRADES_HEADER)[0][first]}"
+            f"{_lines(args.grades, GRADES_HEADER)[first]}"
         )
     return kept
 
@@ -180,8 +215,9 @@ def _stats_rows(report: EvaluationReport) -> list[tuple[str, ...]]:
 
 def cmd_evaluate(args: argparse.Namespace) -> OutputFiles:
     essays, questions, lexicons, grades = _load_corpus(args)
-    records = score_corpus(essays, questions, lexicons, metric=args.metric, n=args.ngram)
-    del essays  # the answer texts are not read again
+    grid = _score(args, essays, questions, lexicons, [(args.metric, args.ngram)])
+    del essays  # the answer texts go before any record is built
+    records = next(grid)
     report = build_report(records, grades)
     rmse_rows = sorted(_rmse_rows(report, args.metric, args.ngram))
     stats_rows = _stats_rows(report)
@@ -242,8 +278,8 @@ def _print_grid(rows: list[tuple[str, str, str, str]]) -> None:
 def cmd_compare(args: argparse.Namespace) -> OutputFiles:
     essays, questions, lexicons, grades = _load_corpus(args)
     cells = [(metric, ngram) for metric in METRIC_CHOICES for ngram in VALID_NGRAM_SIZES]
-    grid = score_corpus(essays, questions, lexicons, cells=cells)
-    del essays  # the grid reads the answers' ids until its last cell is built
+    grid = _score(args, essays, questions, lexicons, cells)
+    del essays  # the answer texts go before any record is built
     all_rows: list[tuple[str, str, str, str]] = []
     for metric, ngram in cells:
         records = next(grid)

@@ -4,6 +4,14 @@ All inputs are UTF-8 text. Tabular files are RFC-4180 CSV with a required
 header row; both LF and CRLF line endings are accepted. Loading is
 order-preserving and purely a function of file contents.
 
+Each CSV file is read once, and each data row becomes its record as soon
+as it is read, so no file's rows are held beside its records. Every error
+found in a row waits until the whole file is read, so a file with several
+faults reports the one that ranks first: a CSV syntax error anywhere, then
+a wrong header, then the first row with the wrong field count, then the
+first row whose content is wrong (within a row, a bad number is found
+before an empty key, and a repeated key last).
+
 File formats:
 
 * ``answers.csv``       header ``student_id,question_id,answer_text``
@@ -98,37 +106,48 @@ def _first_non_utf8(path: Path, exc: UnicodeDecodeError) -> str:
     return str(exc)
 
 
-def _data_rows(path: Path, header: list[str]) -> tuple[list[int], list[list[str]]]:
-    """Read a CSV file, check its header, and return each data row's line and the rows.
+def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], object]) -> list:
+    """``make(row, line)`` for each data row of a CSV file, in file order, reading it once.
 
     A row's line is the physical line it starts on, one past where the row
-    before it ended, so a quoted field spanning lines shifts no later row;
-    a CSV syntax error names the line its row starts on. The whole file is
-    read before any row is checked, so a syntax error anywhere comes first.
+    before it ended, so a quoted field spanning lines shifts no later row.
+    Each row gives way to what ``make`` returns as soon as it is read, so no
+    row outlives its line. An error is raised only once the whole file is
+    read, and the one that ranks first wins: a CSV syntax error anywhere,
+    naming the line its row starts on; then a wrong header; then the first
+    row with the wrong field count; then the first error ``make`` raises.
+    After any of them is found, ``make`` is not called again.
     """
+    records = []
+    errors: dict[int, EssayScoreError] = {}  # rank -> the first error of that rank
     with _open_input(path) as fh:
         reader = csv.reader(fh, strict=True)
-        rows, lines, start = [], [], 1
+        start = 1
         try:
             got = next(reader, None)
+            if got != header:
+                errors[0] = EssayScoreError(
+                    f"{path}: expected header {','.join(header)!r}, "
+                    f"got {','.join(got) if got is not None else '<empty file>'!r}"
+                )
             start = reader.line_num + 1
             for row in reader:
-                rows.append(row)
-                lines.append(start)
+                if len(row) != len(header):
+                    if 1 not in errors:
+                        errors[1] = EssayScoreError(
+                            f"{path}: line {start}: expected {len(header)} fields, got {len(row)}"
+                        )
+                elif not errors:
+                    try:
+                        records.append(make(row, start))
+                    except EssayScoreError as exc:
+                        errors[2] = exc
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise EssayScoreError(f"{path}: line {start}: {exc}") from exc
-    if got != header:
-        raise EssayScoreError(
-            f"{path}: expected header {','.join(header)!r}, "
-            f"got {','.join(got) if got is not None else '<empty file>'!r}"
-        )
-    for row, line in zip(rows, lines):
-        if len(row) != len(header):
-            raise EssayScoreError(
-                f"{path}: line {line}: expected {len(header)} fields, got {len(row)}"
-            )
-    return lines, rows
+    if errors:
+        raise errors[min(errors)]
+    return records
 
 
 def _parse_number(text: str, path: Path, line: int, column: str) -> float:
@@ -158,28 +177,29 @@ def _check_column_sum(values: list[float], path: Path, column: str) -> None:
         raise EssayScoreError(f"{path}: {column} column sums past the largest float")
 
 
-def _keyed_rows(
-    path: Path, header: list[str], record: type, last: Callable[[str, int], object], kind: str
-) -> list:
-    """Each data row of a file keyed by (student_id, question_id), as a ``record``.
+def _keyed_record(
+    path: Path, record: type, last: Callable[[str, int], object], kind: str
+) -> Callable[[list[str], int], tuple]:
+    """A ``make`` for ``_read_rows``: a row keyed by (student_id, question_id) as a ``record``.
 
     ``last`` makes the record's last field from the row's last cell and its
     line. Each id passes through a dict mapping it to its first instance, so
-    equal ids share one str, and each row gives way to its record as it is
-    checked, so the rows and the records are not all held at once.
+    equal ids share one str.
     """
-    lines, records = _data_rows(path, header)
     seen: set[tuple[str, str]] = set()
     first: dict[str, str] = {}
-    for k, (i, (student_id, question_id, cell)) in enumerate(zip(lines, records)):
-        value = last(cell, i)
+
+    def make(row: list[str], line: int) -> tuple:
+        student_id, question_id, cell = row
+        value = last(cell, line)
         key = (first.setdefault(student_id, student_id), first.setdefault(question_id, question_id))
-        _check_key(key, "student_id or question_id", path, i)
+        _check_key(key, "student_id or question_id", path, line)
         if key in seen:
-            raise EssayScoreError(f"{path}: line {i}: duplicate {kind} for {key}")
+            raise EssayScoreError(f"{path}: line {line}: duplicate {kind} for {key}")
         seen.add(key)
-        records[k] = record(*key, value)
-    return records
+        return record(*key, value)
+
+    return make
 
 
 def load_answers(path: str | Path) -> list[RawEssay]:
@@ -188,25 +208,29 @@ def load_answers(path: str | Path) -> list[RawEssay]:
     Empty answer text is allowed (blank answers score zero downstream);
     empty identifiers and repeated (student_id, question_id) keys are not.
     """
-    return _keyed_rows(Path(path), ANSWERS_HEADER, RawEssay, lambda text, _: text, "answer")
+    path = Path(path)
+    return _read_rows(
+        path, ANSWERS_HEADER, _keyed_record(path, RawEssay, lambda text, _: text, "answer")
+    )
 
 
 def load_model(path: str | Path) -> list[QuestionSpec]:
     """Load the model answers and question weights."""
     path = Path(path)
-    specs: list[QuestionSpec] = []
     seen: set[str] = set()
-    for i, (question_id, model_answer, weight_text) in zip(*_data_rows(path, MODEL_HEADER)):
-        weight = _parse_number(weight_text, path, i, "weight")
-        _check_key((question_id,), "question_id", path, i)
+
+    def make(row: list[str], line: int) -> QuestionSpec:
+        question_id, model_answer, weight_text = row
+        weight = _parse_number(weight_text, path, line, "weight")
+        _check_key((question_id,), "question_id", path, line)
         if not model_answer:
-            raise EssayScoreError(f"{path}: line {i}: empty model answer")
+            raise EssayScoreError(f"{path}: line {line}: empty model answer")
         if question_id in seen:
-            raise EssayScoreError(
-                f"{path}: line {i}: duplicate question {question_id!r}"
-            )
+            raise EssayScoreError(f"{path}: line {line}: duplicate question {question_id!r}")
         seen.add(question_id)
-        specs.append(QuestionSpec(question_id, model_answer, weight))
+        return QuestionSpec(question_id, model_answer, weight)
+
+    specs = _read_rows(path, MODEL_HEADER, make)
     _check_column_sum([q.weight for q in specs], path, "weight")
     return specs
 
@@ -214,12 +238,15 @@ def load_model(path: str | Path) -> list[QuestionSpec]:
 def load_grades(path: str | Path) -> list[HumanGrade]:
     """Load the teacher's per-question grades."""
     path = Path(path)
-    grades = _keyed_rows(
+    grades = _read_rows(
         path,
         GRADES_HEADER,
-        HumanGrade,
-        lambda text, line: _parse_number(text, path, line, "score"),
-        "grade",
+        _keyed_record(
+            path,
+            HumanGrade,
+            lambda text, line: _parse_number(text, path, line, "score"),
+            "grade",
+        ),
     )
     _check_column_sum([g.score for g in grades], path, "score")
     return grades
@@ -245,11 +272,15 @@ def load_lexicons(stopword_path: str | Path, normalization_path: str | Path) -> 
         _check_single_token(entry, stopword_path, i)
         for i, entry in _stopword_entries(stopword_path)
     }
-    normalization: dict[str, str] = {}
-    for i, (slang, formal) in zip(*_data_rows(normalization_path, NORMALIZATION_HEADER)):
-        key = _check_single_token(slang, normalization_path, i)
-        normalization[key] = _check_single_token(formal, normalization_path, i)
 
+    def entry(row: list[str], line: int) -> tuple[str, str]:
+        slang, formal = row
+        return (
+            _check_single_token(slang, normalization_path, line),
+            _check_single_token(formal, normalization_path, line),
+        )
+
+    normalization = dict(_read_rows(normalization_path, NORMALIZATION_HEADER, entry))
     return Lexicons(stopwords=frozenset(stopwords), normalization=normalization)
 
 
@@ -297,7 +328,9 @@ def _unmatchable_entries(
     if dead_keys:
         entries += [
             (normalization_path, i, "slang", slang)
-            for i, (slang, _) in zip(*_data_rows(normalization_path, NORMALIZATION_HEADER))
+            for i, slang in _read_rows(
+                normalization_path, NORMALIZATION_HEADER, lambda row, line: (line, row[0])
+            )
             if slang.lower() in dead_keys
         ]
     return [

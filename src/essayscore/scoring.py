@@ -11,8 +11,10 @@ Several (metric, n) cells are scored in one pass, one question at a time.
 A question's documents are preprocessed once. At each n-gram size its
 vocabulary is fitted once and each answer transformed once, and every
 metric at that size reads the same vector. Across questions only one
-similarity per answer per cell is kept; a cell's records are built when
-they are read.
+similarity per answer per cell is kept. A cell's records are built when
+they are read, from the answers' ids and the question weights alone, so a
+caller that drops the answers before reading the first cell builds every
+record after the answer texts are gone.
 
 Each gram of a question goes through a per-size dict that maps it to its
 first instance, so equal grams share one str and a repeated gram costs
@@ -71,6 +73,10 @@ class StudentScore(namedtuple("StudentScore", "student_id total")):
     __slots__ = ()
 
 
+# a model answer that preprocesses to no tokens; the CLI adds its file and line
+_NO_TERMS = "question {!r}: model answer has no terms after preprocessing"
+
+
 def score_corpus(
     answers: Sequence[RawEssay],
     questions: Sequence[QuestionSpec],
@@ -123,9 +129,7 @@ def score_corpus(
     for question_id in by_question:
         tokens = preprocess_pipeline(specs[question_id].model_answer, lexicons)
         if not tokens:
-            raise EssayScoreError(
-                f"question {question_id!r}: model answer has no terms after preprocessing"
-            )
+            raise EssayScoreError(_NO_TERMS.format(question_id))
         model_tokens[question_id] = tokens
 
     # one similarity per answer per cell, in an anonymous mapping, which a
@@ -149,10 +153,15 @@ def score_corpus(
     )
     del by_question  # its answer indices go before the records are built
 
+    # the records read only the answers' ids, so a caller that drops the
+    # answers frees their texts before the first record is built
+    student_ids = [a.student_id for a in answers]
+    question_ids = [a.question_id for a in answers]
+    weights = {question_id: spec.weight for question_id, spec in specs.items()}
     records = (
         [
-            ScoreRecord(a.student_id, a.question_id, sim, sim * specs[a.question_id].weight)
-            for a, sim in zip(answers, cell_sims)
+            ScoreRecord(student_id, question_id, sim, sim * weights[question_id])
+            for student_id, question_id, sim in zip(student_ids, question_ids, cell_sims)
         ]
         for cell_sims in sims
     )

@@ -5,6 +5,7 @@ import csv
 import errno
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -628,14 +629,15 @@ class TestFileBoundary:
     ):
         model = tmp_path / "model.csv"
         rows = read_rows(data_dir / "model.csv")
-        rows[1][1] = model_answer
+        rows[2][1] = model_answer
         write_csv(model, rows[0], rows[1:])
         args = cli_args(data_dir, tmp_path / "out", grades=command != "score")
         args[args.index("--model") + 1] = str(model)
         assert main([command, *args]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: question {rows[1][0]!r}: model answer has no terms after preprocessing\n"
+            f"error: {model}: line 3: "
+            f"question {rows[2][0]!r}: model answer has no terms after preprocessing\n"
         )
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
@@ -828,3 +830,31 @@ class TestDeterminism:
             trees.append(tree)
         assert trees[0].keys() == trees[1].keys()
         assert trees[0] == trees[1]
+
+    def test_outputs_do_not_depend_on_row_order(self, data_dir, tmp_path, capsys):
+        # every input file's data rows, and the stopword file's lines, shuffled
+        rng = random.Random(0)
+        shuffled = tmp_path / "shuffled"
+        shuffled.mkdir()
+        for path in sorted(data_dir.iterdir()):
+            if path.suffix == ".csv":
+                header, *rows = read_rows(path)
+                rng.shuffle(rows)
+                write_csv(shuffled / path.name, header, rows)
+            else:
+                lines = path.read_text(encoding="utf-8").splitlines()
+                rng.shuffle(lines)
+                (shuffled / path.name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert read_rows(shuffled / "answers.csv") != read_rows(data_dir / "answers.csv")
+        runs = []
+        for corpus in (data_dir, shuffled):
+            root = tmp_path / f"out-{corpus.name}"
+            stdout = {}
+            for command in ("score", "evaluate", "compare"):
+                args = cli_args(corpus, root / command, grades=command != "score")
+                assert main([command, *args]) == 0
+                stdout[command] = capsys.readouterr().out
+            files = {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*.csv"))}
+            runs.append((stdout, files))
+        assert len(runs[0][1]) == 6
+        assert runs[0] == runs[1]

@@ -44,11 +44,11 @@ INSERTS = [
     "\x85".encode(), "\u2028".encode(), "\ufeff".encode(), b"nan", b"inf",
     b"-1", b"1e309", b"1e-320", "\u0130".encode(), b"#", b"q9", b"s9", b" ", b"'",
 ]
-# the errors that concern a whole file or a whole question, not one row; every
+# the errors that concern a whole file, not one row; every
 # other error names a line
 WHOLE_FILE_ERRORS = (
     "expected header", "column sums past the largest float",
-    "no grade row matches a scored answer", "model answer has no terms",
+    "no grade row matches a scored answer",
 )
 CASES = {"data": 360, "large": 150}
 

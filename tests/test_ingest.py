@@ -1,6 +1,9 @@
 """Loader tests: happy paths, every error fixture, and round-trips."""
 
 import csv
+import gc
+import random
+import tracemalloc
 
 import pytest
 
@@ -112,6 +115,30 @@ class TestLoadAnswers:
         rows = "".join(f"s{i},q1,text {i}\n" for i in (3, 1, 2))
         p = write(tmp_path / "a.csv", "student_id,question_id,answer_text\n" + rows)
         assert [e.student_id for e in load_answers(p)] == ["s3", "s1", "s2"]
+
+
+class TestLoadMemory:
+    def test_peak_close_to_what_is_kept(self, tmp_path):
+        # rows and raw ids are dropped as each row is read, not held beside
+        # the records until the whole file is loaded
+        rng = random.Random(0)
+        words = [f"kata{k}" for k in range(500)]
+        rows = "".join(
+            f"s{i // 5},q{i % 5},{' '.join(rng.choices(words, k=40))[:280]}\n"
+            for i in range(10_000)
+        )
+        p = write(tmp_path / "a.csv", "student_id,question_id,answer_text\n" + rows)
+        del rows
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = load_answers(p)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 10_000
+        assert peak - before <= 1.33 * (kept - before)
 
 
 class TestLoadModel:

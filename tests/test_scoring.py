@@ -4,6 +4,7 @@ import errno
 import math
 import os
 import signal
+import sys
 import threading
 
 import pytest
@@ -147,6 +148,16 @@ class TestScoreCorpus:
         questions = [make_question(text="cat"), QuestionSpec("q2", "123 !?", 1.0)]
         with pytest.raises(EssayScoreError, match="question 'q2': model answer has no terms"):
             score_corpus(answers, questions, EMPTY, cells=[("cosine", 1)])
+
+    def test_cells_iterator_holds_no_answers(self, corpus):
+        # the records read only the answers' ids, so a caller that drops the
+        # answers frees their texts before any record is built
+        answers, questions, _, lexicons = corpus
+        answers = list(answers)
+        before = sys.getrefcount(answers)
+        grid = score_corpus(answers, questions, lexicons, cells=[("jaccard", 2)])
+        assert sys.getrefcount(answers) == before
+        assert next(grid) == score_corpus(answers, questions, lexicons, metric="jaccard", n=2)
 
     @pytest.mark.parametrize("answers", [[], [RawEssay("s1", "q1", "cat sat mat")]], ids=["empty", "one"])
     @pytest.mark.parametrize("log_base", [1.0, 0.5, 0.0, -2.0, math.inf, math.nan])
