@@ -111,12 +111,13 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], o
 
     A row's line is the physical line it starts on, one past where the row
     before it ended, so a quoted field spanning lines shifts no later row.
-    Each row gives way to what ``make`` returns as soon as it is read, so no
-    row outlives its line. An error is raised only once the whole file is
-    read, and the one that ranks first wins: a CSV syntax error anywhere,
-    naming the line its row starts on; then a wrong header; then the first
-    row with the wrong field count; then the first error ``make`` raises.
-    After any of them is found, ``make`` is not called again.
+    Each row gives way to what ``make`` returns as soon as it is read, so
+    the rows are never all held at once. An error is raised only once the
+    whole file is read, and the one that ranks first wins: a CSV syntax
+    error anywhere, naming the line its row starts on; then a wrong header;
+    then the first row with the wrong field count; then the first error
+    ``make`` raises. After any of them is found, ``make`` is not called
+    again.
     """
     records = []
     errors: dict[int, EssayScoreError] = {}  # rank -> the first error of that rank

@@ -157,10 +157,9 @@ def score_corpus(
     # answers frees their texts before the first record is built
     student_ids = [a.student_id for a in answers]
     question_ids = [a.question_id for a in answers]
-    weights = {question_id: spec.weight for question_id, spec in specs.items()}
     records = (
         [
-            ScoreRecord(student_id, question_id, sim, sim * weights[question_id])
+            ScoreRecord(student_id, question_id, sim, sim * specs[question_id].weight)
             for student_id, question_id, sim in zip(student_ids, question_ids, cell_sims)
         ]
         for cell_sims in sims
