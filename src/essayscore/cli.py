@@ -87,7 +87,7 @@ def _score(
     lexicons: Lexicons,
     cells: list[tuple[str, int]],
 ) -> Iterator[list[ScoreRecord]]:
-    """``score_corpus`` over ``cells``, naming a model answer with no terms by file and line.
+    """``score_corpus`` over ``cells``; a model answer with no terms is named by file and line.
 
     ``score_corpus`` names the question but knows no file; the model file is
     read again for the line only on that error.
@@ -95,15 +95,11 @@ def _score(
     try:
         return score_corpus(essays, questions, lexicons, cells=cells)
     except EssayScoreError as exc:
-        k = next(
-            (k for k, q in enumerate(questions) if str(exc) == _NO_TERMS.format(q.question_id)),
-            None,
-        )
-        if k is None:
+        named = [str(exc) == _NO_TERMS.format(q.question_id) for q in questions]
+        if True not in named:
             raise
-        raise EssayScoreError(
-            f"{args.model}: line {_lines(args.model, MODEL_HEADER)[k]}: {exc}"
-        ) from exc
+        line = _lines(args.model, MODEL_HEADER)[named.index(True)]
+        raise EssayScoreError(f"{args.model}: line {line}: {exc}") from exc
 
 
 def _write_outputs(out: Path, files: OutputFiles) -> None:

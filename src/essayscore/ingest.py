@@ -178,10 +178,10 @@ def _check_column_sum(values: list[float], path: Path, column: str) -> None:
         raise EssayScoreError(f"{path}: {column} column sums past the largest float")
 
 
-def _keyed_record(
-    path: Path, record: type, last: Callable[[str, int], object], kind: str
-) -> Callable[[list[str], int], tuple]:
-    """A ``make`` for ``_read_rows``: a row keyed by (student_id, question_id) as a ``record``.
+def _keyed_records(
+    path: Path, header: list[str], record: type, last: Callable[[str, int], object], kind: str
+) -> list:
+    """Each data row of a file keyed by (student_id, question_id), as a ``record``.
 
     ``last`` makes the record's last field from the row's last cell and its
     line. Each id passes through a dict mapping it to its first instance, so
@@ -200,7 +200,7 @@ def _keyed_record(
         seen.add(key)
         return record(*key, value)
 
-    return make
+    return _read_rows(path, header, make)
 
 
 def load_answers(path: str | Path) -> list[RawEssay]:
@@ -209,10 +209,7 @@ def load_answers(path: str | Path) -> list[RawEssay]:
     Empty answer text is allowed (blank answers score zero downstream);
     empty identifiers and repeated (student_id, question_id) keys are not.
     """
-    path = Path(path)
-    return _read_rows(
-        path, ANSWERS_HEADER, _keyed_record(path, RawEssay, lambda text, _: text, "answer")
-    )
+    return _keyed_records(Path(path), ANSWERS_HEADER, RawEssay, lambda text, _: text, "answer")
 
 
 def load_model(path: str | Path) -> list[QuestionSpec]:
@@ -239,15 +236,12 @@ def load_model(path: str | Path) -> list[QuestionSpec]:
 def load_grades(path: str | Path) -> list[HumanGrade]:
     """Load the teacher's per-question grades."""
     path = Path(path)
-    grades = _read_rows(
+    grades = _keyed_records(
         path,
         GRADES_HEADER,
-        _keyed_record(
-            path,
-            HumanGrade,
-            lambda text, line: _parse_number(text, path, line, "score"),
-            "grade",
-        ),
+        HumanGrade,
+        lambda text, line: _parse_number(text, path, line, "score"),
+        "grade",
     )
     _check_column_sum([g.score for g in grades], path, "score")
     return grades
@@ -274,12 +268,8 @@ def load_lexicons(stopword_path: str | Path, normalization_path: str | Path) -> 
         for i, entry in _stopword_entries(stopword_path)
     }
 
-    def entry(row: list[str], line: int) -> tuple[str, str]:
-        slang, formal = row
-        return (
-            _check_single_token(slang, normalization_path, line),
-            _check_single_token(formal, normalization_path, line),
-        )
+    def entry(row: list[str], line: int) -> tuple[str, ...]:
+        return tuple(_check_single_token(cell, normalization_path, line) for cell in row)
 
     normalization = dict(_read_rows(normalization_path, NORMALIZATION_HEADER, entry))
     return Lexicons(stopwords=frozenset(stopwords), normalization=normalization)
