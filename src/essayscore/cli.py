@@ -33,8 +33,6 @@ from .ingest import (
     GRADES_HEADER,
     MODEL_HEADER,
     HumanGrade,
-    Lexicons,
-    QuestionSpec,
     RawEssay,
     _read_rows,
     _unmatchable_entries,
@@ -51,10 +49,16 @@ METRIC_CHOICES = tuple(sorted(SIMILARITY_METRICS))
 OutputFiles = dict[str, tuple[Sequence[str], Sequence[Sequence[str]]]]  # name -> (header, rows)
 
 
-def _load_corpus(args: argparse.Namespace):
-    """Load every input the command reads, in flag order, and check that they agree.
+def _scored(
+    args: argparse.Namespace, cells: list[tuple[str, int]]
+) -> tuple[Iterator[list[ScoreRecord]], list[HumanGrade] | None]:
+    """Load the inputs, check that they agree, and score ``cells``: (records iterator, grades).
 
-    The grades, for a command that reads them, are those of answered pairs.
+    The files load as answers, model, lexicons, then grades. That order
+    decides which error a run with several bad files reports, so it stays
+    fixed. The grades, for a command that reads them, are those of answered
+    pairs. The answers live only here, so their texts are freed before the
+    caller reads the first cell and builds a record.
     """
     essays = load_answers(args.answers)
     questions = load_model(args.model)
@@ -62,44 +66,32 @@ def _load_corpus(args: argparse.Namespace):
     for message in _unmatchable_entries(lexicons, args.stopwords, args.normalization):
         _warn(message)
     grades = _answered_grades(args, essays) if "grades" in args else None
-    # score_corpus makes this check too, but knows no file; the answers file
-    # is read again for the line only on this error
+    # score_corpus makes these checks too, but knows no file
     known = {q.question_id for q in questions}
     for k, essay in enumerate(essays):
         if essay.question_id not in known:
+            line = _line(args.answers, ANSWERS_HEADER, k)
             raise EssayScoreError(
-                f"{args.answers}: line {_lines(args.answers, ANSWERS_HEADER)[k]}: "
-                f"answer {essay.student_id!r} refers to unknown question "
-                f"{essay.question_id!r} (not in {args.model})"
+                f"{args.answers}: {f'line {line}: ' if line else ''}answer {essay.student_id!r} "
+                f"refers to unknown question {essay.question_id!r} (not in {args.model})"
             )
-    return essays, questions, lexicons, grades
-
-
-def _lines(path: Path, header: list[str]) -> list[int]:
-    """Each data row's line in a file already loaded, read again for a diagnostic."""
-    return _read_rows(path, header, lambda row, line: line)
-
-
-def _score(
-    args: argparse.Namespace,
-    essays: Sequence[RawEssay],
-    questions: Sequence[QuestionSpec],
-    lexicons: Lexicons,
-    cells: list[tuple[str, int]],
-) -> Iterator[list[ScoreRecord]]:
-    """``score_corpus`` over ``cells``; a model answer with no terms is named by file and line.
-
-    ``score_corpus`` names the question but knows no file; the model file is
-    read again for the line only on that error.
-    """
     try:
-        return score_corpus(essays, questions, lexicons, cells=cells)
+        return score_corpus(essays, questions, lexicons, cells=cells), grades
     except EssayScoreError as exc:
         named = [str(exc) == _NO_TERMS.format(q.question_id) for q in questions]
         if True not in named:
             raise
-        line = _lines(args.model, MODEL_HEADER)[named.index(True)]
-        raise EssayScoreError(f"{args.model}: line {line}: {exc}") from exc
+        line = _line(args.model, MODEL_HEADER, named.index(True))
+        raise EssayScoreError(f"{args.model}: {f'line {line}: ' if line else ''}{exc}") from exc
+
+
+def _line(path: Path, header: list[str], k: int) -> int | None:
+    """Data row ``k``'s line in a file already loaded, read again; None if it is gone since."""
+    try:
+        lines = _read_rows(path, header, lambda row, line: line)
+    except EssayScoreError:
+        return None
+    return lines[k] if k < len(lines) else None
 
 
 def _write_outputs(out: Path, files: OutputFiles) -> None:
@@ -128,9 +120,7 @@ def _write_outputs(out: Path, files: OutputFiles) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_score(args: argparse.Namespace) -> OutputFiles:
-    essays, questions, lexicons, _ = _load_corpus(args)
-    grid = _score(args, essays, questions, lexicons, [(args.metric, args.ngram)])
-    del essays  # the answer texts go before any record is built
+    grid, _ = _scored(args, [(args.metric, args.ngram)])
     records = next(grid)
     score_rows = sorted(
         (r.student_id, r.question_id, f"{r.similarity:.4f}", f"{r.points:.2f}")
@@ -169,10 +159,11 @@ def _answered_grades(args: argparse.Namespace, essays: Sequence[RawEssay]) -> li
         first = next(
             k for k, g in enumerate(grades) if (g.student_id, g.question_id) not in answered
         )
+        line = _line(args.grades, GRADES_HEADER, first)
         _warn(
             f"{args.grades}: skipped {len(grades) - len(kept)} grade row(s) "
-            f"referencing unknown students or unanswered questions, the first on line "
-            f"{_lines(args.grades, GRADES_HEADER)[first]}"
+            f"referencing unknown students or unanswered questions"
+            + (f", the first on line {line}" if line else "")
         )
     return kept
 
@@ -210,11 +201,8 @@ def _stats_rows(report: EvaluationReport) -> list[tuple[str, ...]]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> OutputFiles:
-    essays, questions, lexicons, grades = _load_corpus(args)
-    grid = _score(args, essays, questions, lexicons, [(args.metric, args.ngram)])
-    del essays  # the answer texts go before any record is built
-    records = next(grid)
-    report = build_report(records, grades)
+    grid, grades = _scored(args, [(args.metric, args.ngram)])
+    report = build_report(next(grid), grades)
     rmse_rows = sorted(_rmse_rows(report, args.metric, args.ngram))
     stats_rows = _stats_rows(report)
     anova = report.anova
@@ -272,15 +260,12 @@ def _print_grid(rows: list[tuple[str, str, str, str]]) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> OutputFiles:
-    essays, questions, lexicons, grades = _load_corpus(args)
     cells = [(metric, ngram) for metric in METRIC_CHOICES for ngram in VALID_NGRAM_SIZES]
-    grid = _score(args, essays, questions, lexicons, cells)
-    del essays  # the answer texts go before any record is built
+    grid, grades = _scored(args, cells)
     all_rows: list[tuple[str, str, str, str]] = []
     for metric, ngram in cells:
-        records = next(grid)
-        all_rows.extend(_rmse_rows(build_report(records, grades), metric, ngram))
-        del records  # free this cell's records before the next cell's are built
+        # no name holds a cell's records, so they go before the next cell's are built
+        all_rows.extend(_rmse_rows(build_report(next(grid), grades), metric, ngram))
     all_rows.sort()
     return {"compare.csv": (["question_id", "metric", "ngram", "rmse"], all_rows)}
 

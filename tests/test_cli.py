@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -858,3 +859,110 @@ class TestDeterminism:
             runs.append((stdout, files))
         assert len(runs[0][1]) == 6
         assert runs[0] == runs[1]
+
+
+def keep_first_row(path):
+    """Cut a CSV file to its header and first data row."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:2]), encoding="utf-8")
+
+
+class TestInputChangedDuringRun:
+    """A file cut between its load and the re-read for a line gives no traceback."""
+
+    def test_model_answer_without_terms_still_names_its_file(
+        self, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        model = tmp_path / "model.csv"
+        rows = read_rows(data_dir / "model.csv")
+        rows[-1][1] = "..."
+        write_csv(model, rows[0], rows[1:])
+        original = cli.score_corpus
+
+        def cutting(*args, **kwargs):
+            keep_first_row(model)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "score_corpus", cutting)
+        args = cli_args(data_dir, tmp_path / "out")
+        args[args.index("--model") + 1] = str(model)
+        assert main(["score", *args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: "
+            f"question {rows[-1][0]!r}: model answer has no terms after preprocessing\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_question_still_names_its_file(self, data_dir, tmp_path, monkeypatch, capsys):
+        answers = tmp_path / "answers.csv"
+        rows = read_rows(data_dir / "answers.csv")
+        rows[-1][1] = "q9"
+        write_csv(answers, rows[0], rows[1:])
+        original = cli.load_model
+
+        def cutting(*args):
+            keep_first_row(answers)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "load_model", cutting)
+        args = cli_args(data_dir, tmp_path / "out")
+        args[args.index("--answers") + 1] = str(answers)
+        assert main(["score", *args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {answers}: answer {rows[-1][0]!r} refers to unknown question "
+            f"'q9' (not in {data_dir / 'model.csv'})\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_skipped_grade_warned_without_its_line(self, data_dir, tmp_path, monkeypatch, capsys):
+        assert main(["evaluate", *cli_args(data_dir, tmp_path / "plain", grades=True)]) == 0
+        plain = capsys.readouterr().err
+        grades = tmp_path / "grades.csv"
+        rows = read_rows(data_dir / "grades.csv")
+        write_csv(grades, rows[0], [*rows[1:], ["s9", "q1", "5"]])
+        original = cli.load_grades
+
+        def cutting(*args):
+            loaded = original(*args)
+            keep_first_row(grades)
+            return loaded
+
+        monkeypatch.setattr(cli, "load_grades", cutting)
+        args = cli_args(data_dir, tmp_path / "out", grades=True)
+        args[args.index("--grades") + 1] = str(grades)
+        assert main(["evaluate", *args]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {grades}: skipped 1 grade row(s) referencing unknown students "
+            f"or unanswered questions\n" + plain
+        )
+        for name in ("evaluation.csv", "stats.csv", "anova.csv"):
+            assert read_text(tmp_path / "out" / name) == read_text(tmp_path / "plain" / name)
+
+
+@pytest.mark.parametrize("command", ["score", "evaluate", "compare"])
+def test_answers_freed_before_the_first_record(data_dir, tmp_path, monkeypatch, command):
+    class Answers(list):
+        __slots__ = ("__weakref__",)
+
+    refs = []
+    load_answers, score_corpus = cli.load_answers, cli.score_corpus
+
+    def loading(*args):
+        answers = Answers(load_answers(*args))
+        refs.append(weakref.ref(answers))
+        return answers
+
+    def checking(*args, **kwargs):
+        grid = score_corpus(*args, **kwargs)
+
+        def cells():
+            assert refs[0]() is None, "the answers outlive the scoring call"
+            yield from grid
+
+        return cells()
+
+    monkeypatch.setattr(cli, "load_answers", loading)
+    monkeypatch.setattr(cli, "score_corpus", checking)
+    args = cli_args(data_dir, tmp_path / "out", grades=command != "score")
+    assert main([command, *args]) == 0
+    assert len(refs) == 1
