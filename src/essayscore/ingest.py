@@ -5,12 +5,9 @@ header row; both LF and CRLF line endings are accepted. Loading is
 order-preserving and purely a function of file contents.
 
 Each CSV file is read once, and each data row becomes its record as soon
-as it is read, so no file's rows are held beside its records. Every error
-found in a row waits until the whole file is read, so a file with several
-faults reports the one that ranks first: a CSV syntax error anywhere, then
-a wrong header, then the first row with the wrong field count, then the
-first row whose content is wrong (within a row, a bad number is found
-before an empty key, and a repeated key last).
+as it is read, so no file's rows are held beside its records. The first
+fault in file order is reported, and reading stops there (within a row, a
+bad number is found before an empty key, and a repeated key last).
 
 File formats:
 
@@ -112,42 +109,32 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], o
     A row's line is the physical line it starts on, one past where the row
     before it ended, so a quoted field spanning lines shifts no later row.
     Each row gives way to what ``make`` returns as soon as it is read, so
-    the rows are never all held at once. An error is raised only once the
-    whole file is read, and the one that ranks first wins: a CSV syntax
-    error anywhere, naming the line its row starts on; then a wrong header;
-    then the first row with the wrong field count; then the first error
-    ``make`` raises. After any of them is found, ``make`` is not called
-    again.
+    the rows are never all held at once. The first fault in file order is
+    raised as soon as it is read, and reading stops there: a CSV syntax
+    error (naming the line its row starts on), a wrong header, a row with
+    the wrong field count, or an error ``make`` raises.
     """
     records = []
-    errors: dict[int, EssayScoreError] = {}  # rank -> the first error of that rank
     with _open_input(path) as fh:
         reader = csv.reader(fh, strict=True)
         start = 1
         try:
             got = next(reader, None)
             if got != header:
-                errors[0] = EssayScoreError(
+                raise EssayScoreError(
                     f"{path}: expected header {','.join(header)!r}, "
                     f"got {','.join(got) if got is not None else '<empty file>'!r}"
                 )
             start = reader.line_num + 1
             for row in reader:
                 if len(row) != len(header):
-                    if 1 not in errors:
-                        errors[1] = EssayScoreError(
-                            f"{path}: line {start}: expected {len(header)} fields, got {len(row)}"
-                        )
-                elif not errors:
-                    try:
-                        records.append(make(row, start))
-                    except EssayScoreError as exc:
-                        errors[2] = exc
+                    raise EssayScoreError(
+                        f"{path}: line {start}: expected {len(header)} fields, got {len(row)}"
+                    )
+                records.append(make(row, start))
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise EssayScoreError(f"{path}: line {start}: {exc}") from exc
-    if errors:
-        raise errors[min(errors)]
     return records
 
 
@@ -300,7 +287,8 @@ def _unmatchable_entries(
 
     A slang key matches only a token. A stopword matches a formal form, or a
     token that no slang key rewrites. The files are read again only when
-    some entry can never match.
+    some entry can never match; for a file that no longer reads, the
+    messages name no line.
     """
     mapping = lexicons.normalization
     formals = set(mapping.values())
@@ -309,22 +297,22 @@ def _unmatchable_entries(
         word for word in lexicons.stopwords
         if word not in formals and not (_is_token(word) and mapping.get(word, word) == word)
     }
-    entries = []
-    if dead_words:
-        entries += [
-            (stopword_path, i, "stopword", entry)
-            for i, entry in _stopword_entries(stopword_path)
-            if entry.lower() in dead_words
+
+    def slang_entries(path: Path) -> list[tuple[int, str]]:
+        return _read_rows(path, NORMALIZATION_HEADER, lambda row, line: (line, row[0]))
+
+    messages = []
+    for path, kind, dead, read in (
+        (stopword_path, "stopword", dead_words, _stopword_entries),
+        (normalization_path, "slang", dead_keys, slang_entries),
+    ):
+        try:
+            entries = read(path) if dead else ()
+            found = [(f"line {i}: ", e) for i, e in entries if e.lower() in dead]
+        except EssayScoreError:  # the file changed since it loaded
+            found = [("", entry) for entry in sorted(dead)]
+        messages += [
+            f"{path}: {at}{kind} {entry!r} can never match: preprocessing never yields it"
+            for at, entry in found
         ]
-    if dead_keys:
-        entries += [
-            (normalization_path, i, "slang", slang)
-            for i, slang in _read_rows(
-                normalization_path, NORMALIZATION_HEADER, lambda row, line: (line, row[0])
-            )
-            if slang.lower() in dead_keys
-        ]
-    return [
-        f"{path}: line {i}: {kind} {entry!r} can never match: preprocessing never yields it"
-        for path, i, kind, entry in entries
-    ]
+    return messages

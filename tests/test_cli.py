@@ -868,7 +868,7 @@ def keep_first_row(path):
 
 
 class TestInputChangedDuringRun:
-    """A file cut between its load and the re-read for a line gives no traceback."""
+    """A file cut or rewritten between its load and the re-read for a line gives no traceback."""
 
     def test_model_answer_without_terms_still_names_its_file(
         self, data_dir, tmp_path, monkeypatch, capsys
@@ -936,6 +936,55 @@ class TestInputChangedDuringRun:
             f"or unanswered questions\n" + plain
         )
         for name in ("evaluation.csv", "stats.csv", "anova.csv"):
+            assert read_text(tmp_path / "out" / name) == read_text(tmp_path / "plain" / name)
+
+    def test_unknown_question_in_a_file_that_no_longer_reads_names_no_line(
+        self, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        answers = tmp_path / "answers.csv"
+        rows = read_rows(data_dir / "answers.csv")
+        rows[1][1] = "q9"
+        write_csv(answers, rows[0], rows[1:])
+        original = cli.load_model
+
+        def rewriting(*args):
+            write_csv(answers, ["sid", "qid", "text"], rows[1:])
+            return original(*args)
+
+        monkeypatch.setattr(cli, "load_model", rewriting)
+        args = cli_args(data_dir, tmp_path / "out")
+        args[args.index("--answers") + 1] = str(answers)
+        assert main(["score", *args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {answers}: answer {rows[1][0]!r} refers to unknown question "
+            f"'q9' (not in {data_dir / 'model.csv'})\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_dead_lexicon_entry_of_a_file_that_no_longer_reads_warned_without_its_line(
+        self, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        assert main(["score", *cli_args(data_dir, tmp_path / "plain")]) == 0
+        normalization = tmp_path / "normalization.csv"
+        normalization.write_text(
+            (data_dir / "normalization.csv").read_text(encoding="utf-8") + "x1,y\n",
+            encoding="utf-8",
+        )
+        original = cli.load_lexicons
+
+        def rewriting(*args):
+            loaded = original(*args)
+            normalization.write_text('slang,formal\n"x1,y\n', encoding="utf-8")
+            return loaded
+
+        monkeypatch.setattr(cli, "load_lexicons", rewriting)
+        args = cli_args(data_dir, tmp_path / "out")
+        args[args.index("--normalization") + 1] = str(normalization)
+        assert main(["score", *args]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {normalization}: slang 'x1' can never match: preprocessing never yields it\n"
+        )
+        for name in ("scores.csv", "totals.csv"):
             assert read_text(tmp_path / "out" / name) == read_text(tmp_path / "plain" / name)
 
 

@@ -19,7 +19,12 @@ from essayscore import (
     load_model,
     preprocess_pipeline,
 )
-from essayscore.ingest import _unmatchable_entries
+from essayscore.ingest import (
+    ANSWERS_HEADER,
+    NORMALIZATION_HEADER,
+    _read_rows,
+    _unmatchable_entries,
+)
 
 
 def write(path, text):
@@ -291,11 +296,11 @@ class TestEmptyKey:
 
 
 class TestErrorRanking:
-    """With several faults in one file, the loader reports the one that ranks first.
+    """With several faults in one file, the loader reports the first fault in file order.
 
-    A CSV syntax error anywhere comes first, then the header, then the first
-    row with the wrong field count, then the first problem with a row's
-    content, in row order.
+    The fault may be a CSV syntax error, a wrong header, a row with the
+    wrong field count or a problem with a row's content; reading stops
+    there.
     """
 
     @pytest.mark.parametrize(
@@ -304,12 +309,12 @@ class TestErrorRanking:
             (
                 load_answers,
                 "student_id,question_id,answer_text\ns1,q1,a\ns1,q1,b\ns2,q1,c\ns3,q1\n",
-                "line 5: expected 3 fields, got 2",
+                "line 3: duplicate answer for ('s1', 'q1')",
             ),
             (
                 load_answers,
                 'student_id,question_id,answer_text\n,q1,a\ns2,q1,b\ns3,q1,"bad"x\n',
-                "line 4: ',' expected after '\"'",
+                "line 2: empty student_id or question_id",
             ),
             (
                 load_answers,
@@ -319,12 +324,12 @@ class TestErrorRanking:
             (
                 load_answers,
                 'sid,qid,text\ns1,q1,a\ns2,q1,"bad"x\n',
-                "line 3: ',' expected after '\"'",
+                "expected header 'student_id,question_id,answer_text', got 'sid,qid,text'",
             ),
             (
                 load_grades,
                 "student_id,question_id,score\ns1,q1,x\ns2,q1,5\ns3,q1\n",
-                "line 4: expected 3 fields, got 2",
+                "line 2: score 'x' is not a number",
             ),
             (
                 load_grades,
@@ -346,6 +351,21 @@ class TestErrorRanking:
         with pytest.raises(EssayScoreError) as exc:
             loader(p)
         assert str(exc.value) == f"{p}: {message}"
+
+    def test_reading_stops_at_the_first_fault(self, tmp_path):
+        # a later CSV syntax error is never read
+        text = 'student_id,question_id,answer_text\ns1,q1,a\ns2,q1\ns3,q1,"bad"x\n'
+        p = write(tmp_path / "f.csv", text)
+        calls = []
+
+        def make(row, line):
+            calls.append(line)
+            return row
+
+        with pytest.raises(EssayScoreError) as exc:
+            _read_rows(p, ANSWERS_HEADER, make)
+        assert str(exc.value) == f"{p}: line 3: expected 3 fields, got 2"
+        assert calls == [2]
 
 
 class TestLoadLexicons:
@@ -418,6 +438,19 @@ class TestUnmatchableEntries:
         lex = Lexicons(frozenset({"yang"}), {"gak": "tidak"})
         missing = tmp_path / "missing"
         assert _unmatchable_entries(lex, missing, missing) == []
+
+    def test_files_that_no_longer_read_named_without_lines(self, tmp_path):
+        sp = write(tmp_path / "stop.txt", "don't\nGK\n")
+        np_ = write(tmp_path / "norm.csv", "slang,formal\ngk,tidak\nx2,y\nx1,y\n")
+        lex = load_lexicons(sp, np_)
+        sp.unlink()
+        write(np_, 'slang,formal\n"x1,y\n')
+        assert _unmatchable_entries(lex, sp, np_) == [
+            f"{sp}: stopword \"don't\" can never match: preprocessing never yields it",
+            f"{sp}: stopword 'gk' can never match: preprocessing never yields it",
+            f"{np_}: slang 'x1' can never match: preprocessing never yields it",
+            f"{np_}: slang 'x2' can never match: preprocessing never yields it",
+        ]
 
 
 class TestIdsShared:
@@ -553,8 +586,7 @@ class TestLineAfterMultiLineField:
         assert str(exc.value) == f"{p}: {message}"
 
     def test_normalization(self, tmp_path):
-        sp = write(tmp_path / "stop.txt", "")
         np_ = write(tmp_path / "norm.csv", 'slang,formal\n"gak\ntau",tidak\nx,y,z\n')
         with pytest.raises(EssayScoreError) as exc:
-            load_lexicons(sp, np_)
+            _read_rows(np_, NORMALIZATION_HEADER, lambda row, line: line)
         assert str(exc.value) == f"{np_}: line 4: expected 2 fields, got 3"
