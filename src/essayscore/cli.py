@@ -10,9 +10,11 @@ two lexicon files) and write CSV reports into an output directory:
 
 Diagnostics go to stderr; data goes to files (the compare table, printed
 once its file is written, being the one deliberate exception), written all
-or none. Output rows are sorted so repeated runs over the same inputs are
-byte-identical. Exit status is 0 on success, 1 for bad input data or an
-unwritable output (stdout included), 2 for bad usage.
+or none. A diagnostic that names a row's line takes it from the loaders,
+so no input file is read twice. Output rows are sorted so repeated runs
+over the same inputs are byte-identical. Exit status is 0 on success, 1
+for bad input data or an unwritable output (stdout included), 2 for bad
+usage.
 """
 
 from __future__ import annotations
@@ -28,21 +30,9 @@ from pathlib import Path
 
 from .errors import EssayScoreError
 from .evaluation import EvaluationReport, build_report
-from .ingest import (
-    ANSWERS_HEADER,
-    GRADES_HEADER,
-    MODEL_HEADER,
-    HumanGrade,
-    RawEssay,
-    _read_rows,
-    _unmatchable_entries,
-    load_answers,
-    load_grades,
-    load_lexicons,
-    load_model,
-)
+from .ingest import HumanGrade, RawEssay, load_answers, load_grades, load_lexicons, load_model
 from .ngrams import VALID_NGRAM_SIZES
-from .scoring import _NO_TERMS, ScoreRecord, aggregate_totals, score_corpus
+from .scoring import ScoreRecord, aggregate_totals, score_corpus
 from .similarity import SIMILARITY_METRICS
 
 METRIC_CHOICES = tuple(sorted(SIMILARITY_METRICS))
@@ -62,36 +52,24 @@ def _scored(
     """
     essays = load_answers(args.answers)
     questions = load_model(args.model)
-    lexicons = load_lexicons(args.stopwords, args.normalization)
-    for message in _unmatchable_entries(lexicons, args.stopwords, args.normalization):
-        _warn(message)
+    lexicons = load_lexicons(args.stopwords, args.normalization, _warn=_warn)
     grades = _answered_grades(args, essays) if "grades" in args else None
     # score_corpus makes these checks too, but knows no file
     known = {q.question_id for q in questions}
     for k, essay in enumerate(essays):
         if essay.question_id not in known:
-            line = _line(args.answers, ANSWERS_HEADER, k)
             raise EssayScoreError(
-                f"{args.answers}: {f'line {line}: ' if line else ''}answer {essay.student_id!r} "
+                f"{args.answers}: line {essays.lines[k]}: answer {essay.student_id!r} "
                 f"refers to unknown question {essay.question_id!r} (not in {args.model})"
             )
     try:
         return score_corpus(essays, questions, lexicons, cells=cells), grades
     except EssayScoreError as exc:
-        named = [str(exc) == _NO_TERMS.format(q.question_id) for q in questions]
-        if True not in named:
+        question_id = getattr(exc, "question_id", None)
+        if question_id is None:
             raise
-        line = _line(args.model, MODEL_HEADER, named.index(True))
-        raise EssayScoreError(f"{args.model}: {f'line {line}: ' if line else ''}{exc}") from exc
-
-
-def _line(path: Path, header: list[str], k: int) -> int | None:
-    """Data row ``k``'s line in a file already loaded, read again; None if it is gone since."""
-    try:
-        lines = _read_rows(path, header, lambda row, line: line)
-    except EssayScoreError:
-        return None
-    return lines[k] if k < len(lines) else None
+        k = [q.question_id for q in questions].index(question_id)
+        raise EssayScoreError(f"{args.model}: line {questions.lines[k]}: {exc}") from exc
 
 
 def _write_outputs(out: Path, files: OutputFiles) -> None:
@@ -147,8 +125,7 @@ def _answered_grades(args: argparse.Namespace, essays: Sequence[RawEssay]) -> li
     """Load the grades and keep the rows whose (student, question) was answered.
 
     Keeping none is an error naming the grades file; the rows dropped are
-    counted in one warning naming the file and, read again for it, the line
-    of the first.
+    counted in one warning naming the file and the line of the first.
     """
     grades = load_grades(args.grades)
     answered = {(e.student_id, e.question_id) for e in essays}
@@ -159,11 +136,9 @@ def _answered_grades(args: argparse.Namespace, essays: Sequence[RawEssay]) -> li
         first = next(
             k for k, g in enumerate(grades) if (g.student_id, g.question_id) not in answered
         )
-        line = _line(args.grades, GRADES_HEADER, first)
         _warn(
-            f"{args.grades}: skipped {len(grades) - len(kept)} grade row(s) "
-            f"referencing unknown students or unanswered questions"
-            + (f", the first on line {line}" if line else "")
+            f"{args.grades}: skipped {len(grades) - len(kept)} grade row(s) referencing "
+            f"unknown students or unanswered questions, the first on line {grades.lines[first]}"
         )
     return kept
 

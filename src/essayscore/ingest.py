@@ -4,10 +4,12 @@ All inputs are UTF-8 text. Tabular files are RFC-4180 CSV with a required
 header row; both LF and CRLF line endings are accepted. Loading is
 order-preserving and purely a function of file contents.
 
-Each CSV file is read once, and each data row becomes its record as soon
-as it is read, so no file's rows are held beside its records. The first
-fault in file order is reported, and reading stops there (within a row, a
-bad number is found before an empty key, and a repeated key last).
+Each input file is read once, and each data row becomes its record as
+soon as it is read, so no file's rows are held beside its records. Each
+record's line is kept with it, so a later diagnostic names its line
+without reading the file again. The first fault in file order is
+reported, and reading stops there (within a row, a bad number is found
+before an empty key, and a repeated key last).
 
 File formats:
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -103,18 +106,26 @@ def _first_non_utf8(path: Path, exc: UnicodeDecodeError) -> str:
     return str(exc)
 
 
-def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], object]) -> list:
+class _Rows(list):
+    """A file's records in file order; ``lines[k]`` is the line record ``k``'s row starts on."""
+
+    __slots__ = ("lines",)
+
+
+def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], object]) -> _Rows:
     """``make(row, line)`` for each data row of a CSV file, in file order, reading it once.
 
     A row's line is the physical line it starts on, one past where the row
     before it ended, so a quoted field spanning lines shifts no later row.
     Each row gives way to what ``make`` returns as soon as it is read, so
-    the rows are never all held at once. The first fault in file order is
-    raised as soon as it is read, and reading stops there: a CSV syntax
-    error (naming the line its row starts on), a wrong header, a row with
-    the wrong field count, or an error ``make`` raises.
+    the rows are never all held at once; its line is kept, 8 bytes a row.
+    The first fault in file order is raised as soon as it is read, and
+    reading stops there: a CSV syntax error (naming the line its row starts
+    on), a wrong header, a row with the wrong field count, or an error
+    ``make`` raises.
     """
-    records = []
+    records = _Rows()
+    records.lines = array("L")
     with _open_input(path) as fh:
         reader = csv.reader(fh, strict=True)
         start = 1
@@ -132,6 +143,7 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], o
                         f"{path}: line {start}: expected {len(header)} fields, got {len(row)}"
                     )
                 records.append(make(row, start))
+                records.lines.append(start)
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise EssayScoreError(f"{path}: line {start}: {exc}") from exc
@@ -242,24 +254,46 @@ def _check_single_token(entry: str, path: Path, line: int) -> str:
     return entry.lower()
 
 
-def load_lexicons(stopword_path: str | Path, normalization_path: str | Path) -> Lexicons:
+def load_lexicons(
+    stopword_path: str | Path,
+    normalization_path: str | Path,
+    *,
+    _warn: Callable[[str], object] = lambda message: None,
+) -> Lexicons:
     """Load the stopword list and the slang/typo normalization dictionary.
 
     All entries are case-folded to lowercase on load. Later normalization
-    rows overwrite earlier ones with the same key.
+    rows overwrite earlier ones with the same key. ``_warn``, the CLI's
+    hook, gets a message naming the file and line of each entry that no
+    token can equal. A slang key matches only a token. A stopword matches a
+    formal form, or a token that no slang key rewrites.
     """
     stopword_path = Path(stopword_path)
     normalization_path = Path(normalization_path)
-    stopwords = {
-        _check_single_token(entry, stopword_path, i)
-        for i, entry in _stopword_entries(stopword_path)
-    }
+    # (line, entry as written, entry case-folded) of each stopword
+    stopwords = [
+        (line, entry, _check_single_token(entry, stopword_path, line))
+        for line, entry in _stopword_entries(stopword_path)
+    ]
+    dead_keys = []  # (line, key as written) of each slang key no token can equal
 
-    def entry(row: list[str], line: int) -> tuple[str, ...]:
-        return tuple(_check_single_token(cell, normalization_path, line) for cell in row)
+    def slang(row: list[str], line: int) -> tuple[str, str]:
+        key, formal = (_check_single_token(cell, normalization_path, line) for cell in row)
+        if not _is_token(key):
+            dead_keys.append((line, row[0]))
+        return key, formal
 
-    normalization = dict(_read_rows(normalization_path, NORMALIZATION_HEADER, entry))
-    return Lexicons(stopwords=frozenset(stopwords), normalization=normalization)
+    mapping = dict(_read_rows(normalization_path, NORMALIZATION_HEADER, slang))
+    formals = set(mapping.values())
+    dead = [
+        (stopword_path, line, "stopword", entry)
+        for line, entry, word in stopwords
+        if word not in formals and not (_is_token(word) and mapping.get(word, word) == word)
+    ] + [(normalization_path, line, "slang", entry) for line, entry in dead_keys]
+    for path, line, kind, entry in dead:
+        _warn(f"{path}: line {line}: {kind} {entry!r} can never match: "
+              "preprocessing never yields it")
+    return Lexicons(stopwords=frozenset(word for _, _, word in stopwords), normalization=mapping)
 
 
 def _stopword_entries(path: Path) -> Iterator[tuple[int, str]]:
@@ -278,41 +312,3 @@ def _is_token(entry: str) -> bool:
     for "İ" (U+0130), whose lowercase "i̇" ends in a combining dot.
     """
     return entry.replace("i\u0307", "i").isalpha()
-
-
-def _unmatchable_entries(
-    lexicons: Lexicons, stopword_path: Path, normalization_path: Path
-) -> list[str]:
-    """A message naming the file and line of each lexicon entry that no token can equal.
-
-    A slang key matches only a token. A stopword matches a formal form, or a
-    token that no slang key rewrites. The files are read again only when
-    some entry can never match; for a file that no longer reads, the
-    messages name no line.
-    """
-    mapping = lexicons.normalization
-    formals = set(mapping.values())
-    dead_keys = {key for key in mapping if not _is_token(key)}
-    dead_words = {
-        word for word in lexicons.stopwords
-        if word not in formals and not (_is_token(word) and mapping.get(word, word) == word)
-    }
-
-    def slang_entries(path: Path) -> list[tuple[int, str]]:
-        return _read_rows(path, NORMALIZATION_HEADER, lambda row, line: (line, row[0]))
-
-    messages = []
-    for path, kind, dead, read in (
-        (stopword_path, "stopword", dead_words, _stopword_entries),
-        (normalization_path, "slang", dead_keys, slang_entries),
-    ):
-        try:
-            entries = read(path) if dead else ()
-            found = [(f"line {i}: ", e) for i, e in entries if e.lower() in dead]
-        except EssayScoreError:  # the file changed since it loaded
-            found = [("", entry) for entry in sorted(dead)]
-        messages += [
-            f"{path}: {at}{kind} {entry!r} can never match: preprocessing never yields it"
-            for at, entry in found
-        ]
-    return messages

@@ -73,10 +73,6 @@ class StudentScore(namedtuple("StudentScore", "student_id total")):
     __slots__ = ()
 
 
-# a model answer that preprocesses to no tokens; the CLI adds its file and line
-_NO_TERMS = "question {!r}: model answer has no terms after preprocessing"
-
-
 def score_corpus(
     answers: Sequence[RawEssay],
     questions: Sequence[QuestionSpec],
@@ -91,7 +87,8 @@ def score_corpus(
 
     Records come back in the answers' original order. A model answer that
     preprocesses to no tokens is an error naming its question, since every
-    answer to it would score 0.
+    answer to it would score 0; the error's ``question_id`` holds that
+    question, for a caller that knows the question's file and line.
 
     ``cells``, a sequence of (metric, n) pairs, scores all of them in one
     pass and returns an iterator that yields each cell's records in turn;
@@ -129,7 +126,11 @@ def score_corpus(
     for question_id in by_question:
         tokens = preprocess_pipeline(specs[question_id].model_answer, lexicons)
         if not tokens:
-            raise EssayScoreError(_NO_TERMS.format(question_id))
+            error = EssayScoreError(
+                f"question {question_id!r}: model answer has no terms after preprocessing"
+            )
+            error.question_id = question_id
+            raise error
         model_tokens[question_id] = tokens
 
     # one similarity per answer per cell, in an anonymous mapping, which a

@@ -144,7 +144,7 @@ def differences(got: dict[str, dict], want: dict[str, dict]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Check or write the CLI's golden outputs.")
     parser.add_argument("--seed", type=int, choices=(0, 1), help="default: both seeds")
-    parser.add_argument("--write", action="store_true", help=f"store the outcomes in {GOLDEN.name}")
+    parser.add_argument("--write", action="store_true", help="store the outcomes instead")
     args = parser.parse_args(argv)
     got = {}
     for seed in (0, 1) if args.seed is None else (args.seed,):

@@ -1,15 +1,19 @@
 """CLI behaviour: golden outputs, exit codes, grid consistency, determinism."""
 
+import builtins
+import collections
 import contextlib
 import csv
 import errno
 import io
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
 import weakref
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -306,9 +310,9 @@ class TestCompareCommand:
         for name in ("load_answers", "load_model", "load_lexicons", "load_grades"):
             original = getattr(cli, name)
 
-            def counting(*args, _name=name, _original=original):
+            def counting(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(cli, name, counting)
         assert main(["compare", *cli_args(data_dir, tmp_path, grades=True)]) == 0
@@ -867,8 +871,27 @@ def keep_first_row(path):
     path.write_text("".join(lines[:2]), encoding="utf-8")
 
 
+def change_after(monkeypatch, name, change):
+    """Call ``change()`` right after each call of ``cli.<name>`` returns."""
+    original = getattr(cli, name)
+
+    def changing(*args, **kwargs):
+        loaded = original(*args, **kwargs)
+        change()
+        return loaded
+
+    monkeypatch.setattr(cli, name, changing)
+
+
 class TestInputChangedDuringRun:
-    """A file cut or rewritten between its load and the re-read for a line gives no traceback."""
+    """A file changed after its load does not change the diagnostic, which names its line."""
+
+    @staticmethod
+    def run(capsys, command, args, out):
+        """Exit status and stderr of one run writing to ``out``."""
+        args = [*args]
+        args[args.index("--out") + 1] = str(out)
+        return main([command, *args]), capsys.readouterr().err
 
     def test_model_answer_without_terms_still_names_its_file(
         self, data_dir, tmp_path, monkeypatch, capsys
@@ -877,20 +900,15 @@ class TestInputChangedDuringRun:
         rows = read_rows(data_dir / "model.csv")
         rows[-1][1] = "..."
         write_csv(model, rows[0], rows[1:])
-        original = cli.score_corpus
-
-        def cutting(*args, **kwargs):
-            keep_first_row(model)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "score_corpus", cutting)
         args = cli_args(data_dir, tmp_path / "out")
         args[args.index("--model") + 1] = str(model)
-        assert main(["score", *args]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {model}: "
+        before = self.run(capsys, "score", args, tmp_path / "out")
+        assert before == (1, (
+            f"error: {model}: line {len(rows)}: "
             f"question {rows[-1][0]!r}: model answer has no terms after preprocessing\n"
-        )
+        ))
+        change_after(monkeypatch, "load_model", lambda: keep_first_row(model))
+        assert self.run(capsys, "score", args, tmp_path / "out") == before
         assert not (tmp_path / "out").exists()
 
     def test_unknown_question_still_names_its_file(self, data_dir, tmp_path, monkeypatch, capsys):
@@ -898,94 +916,171 @@ class TestInputChangedDuringRun:
         rows = read_rows(data_dir / "answers.csv")
         rows[-1][1] = "q9"
         write_csv(answers, rows[0], rows[1:])
-        original = cli.load_model
-
-        def cutting(*args):
-            keep_first_row(answers)
-            return original(*args)
-
-        monkeypatch.setattr(cli, "load_model", cutting)
         args = cli_args(data_dir, tmp_path / "out")
         args[args.index("--answers") + 1] = str(answers)
-        assert main(["score", *args]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {answers}: answer {rows[-1][0]!r} refers to unknown question "
-            f"'q9' (not in {data_dir / 'model.csv'})\n"
-        )
+        before = self.run(capsys, "score", args, tmp_path / "out")
+        assert before == (1, (
+            f"error: {answers}: line {len(rows)}: answer {rows[-1][0]!r} refers to unknown "
+            f"question 'q9' (not in {data_dir / 'model.csv'})\n"
+        ))
+        change_after(monkeypatch, "load_answers", lambda: keep_first_row(answers))
+        assert self.run(capsys, "score", args, tmp_path / "out") == before
         assert not (tmp_path / "out").exists()
 
-    def test_skipped_grade_warned_without_its_line(self, data_dir, tmp_path, monkeypatch, capsys):
-        assert main(["evaluate", *cli_args(data_dir, tmp_path / "plain", grades=True)]) == 0
-        plain = capsys.readouterr().err
+    def test_skipped_grade_warned_with_its_line(self, data_dir, tmp_path, monkeypatch, capsys):
         grades = tmp_path / "grades.csv"
         rows = read_rows(data_dir / "grades.csv")
         write_csv(grades, rows[0], [*rows[1:], ["s9", "q1", "5"]])
-        original = cli.load_grades
-
-        def cutting(*args):
-            loaded = original(*args)
-            keep_first_row(grades)
-            return loaded
-
-        monkeypatch.setattr(cli, "load_grades", cutting)
         args = cli_args(data_dir, tmp_path / "out", grades=True)
         args[args.index("--grades") + 1] = str(grades)
-        assert main(["evaluate", *args]) == 0
-        assert capsys.readouterr().err == (
+        before = self.run(capsys, "evaluate", args, tmp_path / "before")
+        assert before[0] == 0
+        assert before[1].startswith(
             f"warning: {grades}: skipped 1 grade row(s) referencing unknown students "
-            f"or unanswered questions\n" + plain
+            f"or unanswered questions, the first on line {len(rows) + 1}\n"
         )
+        change_after(monkeypatch, "load_grades", lambda: keep_first_row(grades))
+        assert self.run(capsys, "evaluate", args, tmp_path / "after") == before
         for name in ("evaluation.csv", "stats.csv", "anova.csv"):
-            assert read_text(tmp_path / "out" / name) == read_text(tmp_path / "plain" / name)
+            assert read_text(tmp_path / "after" / name) == read_text(tmp_path / "before" / name)
 
-    def test_unknown_question_in_a_file_that_no_longer_reads_names_no_line(
+    def test_unknown_question_in_a_file_that_no_longer_reads_names_its_line(
         self, data_dir, tmp_path, monkeypatch, capsys
     ):
         answers = tmp_path / "answers.csv"
         rows = read_rows(data_dir / "answers.csv")
         rows[1][1] = "q9"
         write_csv(answers, rows[0], rows[1:])
-        original = cli.load_model
+        args = cli_args(data_dir, tmp_path / "out")
+        args[args.index("--answers") + 1] = str(answers)
+        before = self.run(capsys, "score", args, tmp_path / "out")
+        assert before == (1, (
+            f"error: {answers}: line 2: answer {rows[1][0]!r} refers to unknown question "
+            f"'q9' (not in {data_dir / 'model.csv'})\n"
+        ))
+        rewrite = partial(write_csv, answers, ["sid", "qid", "text"], rows[1:])
+        change_after(monkeypatch, "load_answers", rewrite)
+        assert self.run(capsys, "score", args, tmp_path / "out") == before
+        assert not (tmp_path / "out").exists()
 
-        def rewriting(*args):
-            write_csv(answers, ["sid", "qid", "text"], rows[1:])
+    def check_dead_slang_key_warned_with_its_line(
+        self, data_dir, tmp_path, monkeypatch, capsys, rewritten
+    ):
+        """The dead slang key's warning, with ``normalization.csv`` rewritten after its load."""
+        normalization = tmp_path / "normalization.csv"
+        text = (data_dir / "normalization.csv").read_text(encoding="utf-8") + "x1,y\n"
+        normalization.write_text(text, encoding="utf-8")
+        args = cli_args(data_dir, tmp_path / "out")
+        args[args.index("--normalization") + 1] = str(normalization)
+        before = self.run(capsys, "score", args, tmp_path / "before")
+        assert before == (0, (
+            f"warning: {normalization}: line {len(text.splitlines())}: slang 'x1' can never "
+            f"match: preprocessing never yields it\n"
+        ))
+        rewrite = partial(normalization.write_text, rewritten, encoding="utf-8")
+        change_after(monkeypatch, "load_lexicons", rewrite)
+        assert self.run(capsys, "score", args, tmp_path / "after") == before
+        for name in ("scores.csv", "totals.csv"):
+            assert read_text(tmp_path / "after" / name) == read_text(tmp_path / "before" / name)
+
+    def test_dead_lexicon_entry_of_a_file_that_no_longer_reads_warned_with_its_line(
+        self, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        self.check_dead_slang_key_warned_with_its_line(
+            data_dir, tmp_path, monkeypatch, capsys, 'slang,formal\n"x1,y\n'
+        )
+
+    def test_dead_lexicon_entry_the_file_no_longer_holds_warned_with_its_line(
+        self, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        self.check_dead_slang_key_warned_with_its_line(
+            data_dir, tmp_path, monkeypatch, capsys, "slang,formal\n"
+        )
+
+
+class TestOneReadPerInput:
+    """Each input file is opened once, and a diagnostic's line comes from that read."""
+
+    @pytest.mark.parametrize("command", ["score", "evaluate", "compare"])
+    @pytest.mark.parametrize(
+        "fault", ["unknown_question", "model_answer_without_terms", "warnings"]
+    )
+    def test_each_input_opened_once(self, data_dir, tmp_path, monkeypatch, capsys, command, fault):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(data_dir, corpus)
+        if fault == "unknown_question":
+            rows = read_rows(corpus / "answers.csv")
+            rows[1][1] = "q9"
+            write_csv(corpus / "answers.csv", rows[0], rows[1:])
+            expected = ["line 2: answer 's1' refers to unknown question 'q9'"]
+        elif fault == "model_answer_without_terms":
+            rows = read_rows(corpus / "model.csv")
+            rows[1][1] = "..."
+            write_csv(corpus / "model.csv", rows[0], rows[1:])
+            expected = ["line 2: question 'q1': model answer has no terms"]
+        else:
+            appended = {
+                "stopwords.txt": "don't", "normalization.csv": "x1,y", "grades.csv": "s9,q1,5"
+            }
+            for name, row in appended.items():
+                with open(corpus / name, "a", encoding="utf-8") as fh:
+                    fh.write(row + "\n")
+            expected = ["line 17: stopword \"don't\"", "line 8: slang 'x1'"]
+            if command != "score":
+                expected.append("grade row(s) referencing unknown students or unanswered "
+                                "questions, the first on line 14")
+        opened = collections.Counter()
+        for module in (builtins, io):  # pathlib opens through io.open
+            def counting(file, *args, _open=module.open, **kwargs):
+                if isinstance(file, (str, os.PathLike)):
+                    opened[Path(file).resolve()] += 1
+                return _open(file, *args, **kwargs)
+
+            monkeypatch.setattr(module, "open", counting)
+        args = cli_args(corpus, tmp_path / "out", grades=command != "score")
+        status = main([command, *args])
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert status == (fault != "warnings")
+        for diagnostic in expected:
+            assert diagnostic in err
+        inputs = ["answers.csv", "model.csv", "stopwords.txt", "normalization.csv"]
+        inputs += ["grades.csv"] if command != "score" else []
+        counts = {name: opened[(corpus / name).resolve()] for name in inputs}
+        assert counts == dict.fromkeys(inputs, 1)
+
+    @pytest.mark.parametrize(
+        "first, line", [("q1", 2), ("q3", 4)], ids=["q1_answered_first", "q3_answered_first"]
+    )
+    def test_of_two_model_answers_without_terms_the_first_answered_is_named(
+        self, data_dir, tmp_path, monkeypatch, capsys, first, line
+    ):
+        model = tmp_path / "model.csv"
+        rows = read_rows(data_dir / "model.csv")
+        rows[1][1] = rows[3][1] = "..."
+        write_csv(model, rows[0], rows[1:])
+        answers = tmp_path / "answers.csv"
+        rows = read_rows(data_dir / "answers.csv")
+        # a stable sort moves the answers to ``first`` ahead of the rest
+        write_csv(answers, rows[0], sorted(rows[1:], key=lambda row: row[1] != first))
+        calls = []
+        original = scoring.preprocess_pipeline
+
+        def counting(*args):
+            calls.append(args[0])
             return original(*args)
 
-        monkeypatch.setattr(cli, "load_model", rewriting)
+        monkeypatch.setattr(scoring, "preprocess_pipeline", counting)
         args = cli_args(data_dir, tmp_path / "out")
+        args[args.index("--model") + 1] = str(model)
         args[args.index("--answers") + 1] = str(answers)
         assert main(["score", *args]) == 1
         assert capsys.readouterr().err == (
-            f"error: {answers}: answer {rows[1][0]!r} refers to unknown question "
-            f"'q9' (not in {data_dir / 'model.csv'})\n"
+            f"error: {model}: line {line}: "
+            f"question {first!r}: model answer has no terms after preprocessing\n"
         )
-        assert not (tmp_path / "out").exists()
-
-    def test_dead_lexicon_entry_of_a_file_that_no_longer_reads_warned_without_its_line(
-        self, data_dir, tmp_path, monkeypatch, capsys
-    ):
-        assert main(["score", *cli_args(data_dir, tmp_path / "plain")]) == 0
-        normalization = tmp_path / "normalization.csv"
-        normalization.write_text(
-            (data_dir / "normalization.csv").read_text(encoding="utf-8") + "x1,y\n",
-            encoding="utf-8",
-        )
-        original = cli.load_lexicons
-
-        def rewriting(*args):
-            loaded = original(*args)
-            normalization.write_text('slang,formal\n"x1,y\n', encoding="utf-8")
-            return loaded
-
-        monkeypatch.setattr(cli, "load_lexicons", rewriting)
-        args = cli_args(data_dir, tmp_path / "out")
-        args[args.index("--normalization") + 1] = str(normalization)
-        assert main(["score", *args]) == 0
-        assert capsys.readouterr().err == (
-            f"warning: {normalization}: slang 'x1' can never match: preprocessing never yields it\n"
-        )
-        for name in ("scores.csv", "totals.csv"):
-            assert read_text(tmp_path / "out" / name) == read_text(tmp_path / "plain" / name)
+        # only the model answer named was preprocessed, and once
+        assert calls == ["..."]
 
 
 @pytest.mark.parametrize("command", ["score", "evaluate", "compare"])

@@ -10,7 +10,6 @@ import pytest
 from essayscore import (
     EssayScoreError,
     HumanGrade,
-    Lexicons,
     QuestionSpec,
     RawEssay,
     load_answers,
@@ -19,12 +18,7 @@ from essayscore import (
     load_model,
     preprocess_pipeline,
 )
-from essayscore.ingest import (
-    ANSWERS_HEADER,
-    NORMALIZATION_HEADER,
-    _read_rows,
-    _unmatchable_entries,
-)
+from essayscore.ingest import ANSWERS_HEADER, NORMALIZATION_HEADER, _read_rows
 
 
 def write(path, text):
@@ -409,6 +403,13 @@ class TestLoadLexicons:
         assert lex.normalization == {"gak": "tidak"}
 
 
+def unmatchable_entries(stopwords, normalization):
+    """The messages ``load_lexicons`` gives its ``_warn`` hook, in order."""
+    messages = []
+    load_lexicons(stopwords, normalization, _warn=messages.append)
+    return messages
+
+
 class TestUnmatchableEntries:
     def test_each_named_with_its_file_and_line(self, tmp_path):
         sp = write(tmp_path / "stop.txt", "# c\nyang\ndon't\nGK\nİstanbul\ntidak\n")
@@ -417,7 +418,7 @@ class TestUnmatchableEntries:
         # "don't" and "x1" hold non-letters; "gk" is always rewritten to
         # "tidak"; "i̇stanbul" and "i̇" are what "İstanbul" and "İ" fold to
         assert preprocess_pipeline("don't x1 yang GK İstanbul", lex) == ["don", "t", "x"]
-        assert _unmatchable_entries(lex, sp, np_) == [
+        assert unmatchable_entries(sp, np_) == [
             f"{sp}: line 3: stopword \"don't\" can never match: preprocessing never yields it",
             f"{sp}: line 4: stopword 'GK' can never match: preprocessing never yields it",
             f"{np_}: line 2: slang 'x1' can never match: preprocessing never yields it",
@@ -428,29 +429,10 @@ class TestUnmatchableEntries:
         np_ = write(tmp_path / "norm.csv", "slang,formal\nxray,x-ray\n")
         lex = load_lexicons(sp, np_)
         assert preprocess_pipeline("xray", lex) == []
-        assert _unmatchable_entries(lex, sp, np_) == []
+        assert unmatchable_entries(sp, np_) == []
 
     def test_data_has_none(self, data_dir):
-        sp, np_ = data_dir / "stopwords.txt", data_dir / "normalization.csv"
-        assert _unmatchable_entries(load_lexicons(sp, np_), sp, np_) == []
-
-    def test_files_read_again_only_for_a_message(self, tmp_path):
-        lex = Lexicons(frozenset({"yang"}), {"gak": "tidak"})
-        missing = tmp_path / "missing"
-        assert _unmatchable_entries(lex, missing, missing) == []
-
-    def test_files_that_no_longer_read_named_without_lines(self, tmp_path):
-        sp = write(tmp_path / "stop.txt", "don't\nGK\n")
-        np_ = write(tmp_path / "norm.csv", "slang,formal\ngk,tidak\nx2,y\nx1,y\n")
-        lex = load_lexicons(sp, np_)
-        sp.unlink()
-        write(np_, 'slang,formal\n"x1,y\n')
-        assert _unmatchable_entries(lex, sp, np_) == [
-            f"{sp}: stopword \"don't\" can never match: preprocessing never yields it",
-            f"{sp}: stopword 'gk' can never match: preprocessing never yields it",
-            f"{np_}: slang 'x1' can never match: preprocessing never yields it",
-            f"{np_}: slang 'x2' can never match: preprocessing never yields it",
-        ]
+        assert unmatchable_entries(data_dir / "stopwords.txt", data_dir / "normalization.csv") == []
 
 
 class TestIdsShared:
@@ -590,3 +572,12 @@ class TestLineAfterMultiLineField:
         with pytest.raises(EssayScoreError) as exc:
             _read_rows(np_, NORMALIZATION_HEADER, lambda row, line: line)
         assert str(exc.value) == f"{np_}: line 4: expected 2 fields, got 3"
+
+    def test_each_records_line_kept(self, tmp_path):
+        p = write(
+            tmp_path / "f.csv",
+            'student_id,question_id,answer_text\ns1,q1,"one\ntwo"\ns2,q1,x\r\ns3,q1,y\n',
+        )
+        answers = load_answers(p)
+        assert [a.student_id for a in answers] == ["s1", "s2", "s3"]
+        assert list(answers.lines) == [2, 4, 5]
