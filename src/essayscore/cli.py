@@ -42,7 +42,7 @@ OutputFiles = dict[str, tuple[Sequence[str], Sequence[Sequence[str]]]]  # name -
 def _scored(
     args: argparse.Namespace, cells: list[tuple[str, int]]
 ) -> tuple[Iterator[list[ScoreRecord]], list[HumanGrade] | None]:
-    """Load the inputs, check that they agree, and score ``cells``: (records iterator, grades).
+    """Load the inputs and score ``cells``: (records iterator, grades).
 
     The files load as answers, model, lexicons, then grades. That order
     decides which error a run with several bad files reports, so it stays
@@ -54,22 +54,7 @@ def _scored(
     questions = load_model(args.model)
     lexicons = load_lexicons(args.stopwords, args.normalization, _warn=_warn)
     grades = _answered_grades(args, essays) if "grades" in args else None
-    # score_corpus makes these checks too, but knows no file
-    known = {q.question_id for q in questions}
-    for k, essay in enumerate(essays):
-        if essay.question_id not in known:
-            raise EssayScoreError(
-                f"{args.answers}: line {essays.lines[k]}: answer {essay.student_id!r} "
-                f"refers to unknown question {essay.question_id!r} (not in {args.model})"
-            )
-    try:
-        return score_corpus(essays, questions, lexicons, cells=cells), grades
-    except EssayScoreError as exc:
-        question_id = getattr(exc, "question_id", None)
-        if question_id is None:
-            raise
-        k = [q.question_id for q in questions].index(question_id)
-        raise EssayScoreError(f"{args.model}: line {questions.lines[k]}: {exc}") from exc
+    return score_corpus(essays, questions, lexicons, cells=cells), grades
 
 
 def _write_outputs(out: Path, files: OutputFiles) -> None:

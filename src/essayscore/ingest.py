@@ -26,7 +26,7 @@ import csv
 import math
 from array import array
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from pathlib import Path
 from types import MappingProxyType
@@ -107,9 +107,20 @@ def _first_non_utf8(path: Path, exc: UnicodeDecodeError) -> str:
 
 
 class _Rows(list):
-    """A file's records in file order; ``lines[k]`` is the line record ``k``'s row starts on."""
+    """The records of file ``path`` in file order; record ``k``'s row starts on ``lines[k]``."""
 
-    __slots__ = ("lines",)
+    __slots__ = ("path", "lines")
+
+
+def _where(records: Sequence, k: int | None = None) -> str:
+    """Where loaded ``records`` came from: their file, or record ``k``'s ``"<file>: line N: "``.
+
+    Records no loader made, such as a plain list, come from nowhere: "", as
+    does a loaded list since changed in length, whose lines no longer fit.
+    """
+    if not isinstance(records, _Rows) or len(records.lines) != len(records):
+        return ""
+    return str(records.path) if k is None else f"{records.path}: line {records.lines[k]}: "
 
 
 def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], object]) -> _Rows:
@@ -125,6 +136,7 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], o
     ``make`` raises.
     """
     records = _Rows()
+    records.path = path
     records.lines = array("L")
     with _open_input(path) as fh:
         reader = csv.reader(fh, strict=True)

@@ -54,7 +54,7 @@ from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import EssayScoreError
-from .ingest import Lexicons, QuestionSpec, RawEssay
+from .ingest import Lexicons, QuestionSpec, RawEssay, _where
 from .ngrams import _check_ngram_size, extract_ngrams
 from .preprocess import preprocess_pipeline
 from .similarity import SIMILARITY_METRICS, _prepare_query
@@ -85,10 +85,10 @@ def score_corpus(
 ) -> list[ScoreRecord] | Iterator[list[ScoreRecord]]:
     """Score every answer in a corpus, fitting one vocabulary per question.
 
-    Records come back in the answers' original order. A model answer that
-    preprocesses to no tokens is an error naming its question, since every
-    answer to it would score 0; the error's ``question_id`` holds that
-    question, for a caller that knows the question's file and line.
+    Records come back in the answers' original order. An answer to a
+    question not in ``questions`` is an error, as is an answered model
+    answer that preprocesses to no tokens, since every answer to it would
+    score 0; either names the row's file and line if a loader read it.
 
     ``cells``, a sequence of (metric, n) pairs, scores all of them in one
     pass and returns an iterator that yields each cell's records in turn;
@@ -114,9 +114,10 @@ def score_corpus(
     by_question: dict[str, list[int]] = {}
     for i, answer in enumerate(answers):
         if answer.question_id not in specs:
+            source = _where(questions)
             raise EssayScoreError(
-                f"answer {answer.student_id!r} refers to unknown question "
-                f"{answer.question_id!r}"
+                f"{_where(answers, i)}answer {answer.student_id!r} refers to unknown question "
+                f"{answer.question_id!r}" + (f" (not in {source})" if source else "")
             )
         by_question.setdefault(answer.question_id, []).append(i)
 
@@ -126,11 +127,11 @@ def score_corpus(
     for question_id in by_question:
         tokens = preprocess_pipeline(specs[question_id].model_answer, lexicons)
         if not tokens:
-            error = EssayScoreError(
-                f"question {question_id!r}: model answer has no terms after preprocessing"
+            k = [q.question_id for q in questions].index(question_id)
+            raise EssayScoreError(
+                f"{_where(questions, k)}question {question_id!r}: "
+                "model answer has no terms after preprocessing"
             )
-            error.question_id = question_id
-            raise error
         model_tokens[question_id] = tokens
 
     # one similarity per answer per cell, in an anonymous mapping, which a

@@ -8,10 +8,11 @@ Each run calls the ``essayscore`` CLI in this process on a corpus written
 to a temporary directory: ``data/``; a copy of it with a slang key that no
 token can equal and a grade row for an unanswered pair, so that both
 warnings show; and the benchmark corpora, made by ``bench/``'s
-``write_corpus`` at seed 0 or 1, each with the commands that CI runs on one
-CPU and on every CPU. A run's outcome is its exit status and the sha256 of
-its stdout, its stderr (with the corpus directory written ``<corpus>``)
-and each file it writes.
+``write_corpus`` at seed 0 or 1, each with the four ``BENCH_COMMANDS``.
+A run's outcome is its exit status and the sha256 of its stdout, its
+stderr (with the corpus directory written ``<corpus>``) and each file it
+writes. Outputs do not depend on the CPU count, so the same outcomes hold
+on one CPU (``taskset -c 0 python tests/golden.py``) and on every CPU.
 
 ``--seed`` picks the runs on that seed's benchmark corpora; the runs on
 ``data/`` go with seed 0. Without ``--seed`` every run is made. The

@@ -18,6 +18,9 @@ from essayscore import (
     ScoreRecord,
     StudentScore,
     aggregate_totals,
+    load_answers,
+    load_lexicons,
+    load_model,
     score_corpus,
 )
 
@@ -113,6 +116,51 @@ class TestScoreCorpus:
             score_corpus(
                 [RawEssay("s1", "q9", "x")], [make_question()], EMPTY
             )
+
+    @pytest.mark.parametrize("loaded", [True, False], ids=["loaded", "plain"])
+    def test_an_error_about_a_loaded_row_names_its_file_and_line(
+        self, data_dir, tmp_path, loaded
+    ):
+        """Line 3 of each file is s1's answer to q2 and q2's model answer."""
+        lexicons = load_lexicons(data_dir / "stopwords.txt", data_dir / "normalization.csv")
+        answers_text = (data_dir / "answers.csv").read_text(encoding="utf-8")
+        model_text = (data_dir / "model.csv").read_text(encoding="utf-8")
+        a, m = tmp_path / "answers.csv", tmp_path / "model.csv"
+
+        def error(answers_text, model_text):
+            a.write_text(answers_text, encoding="utf-8")
+            m.write_text(model_text, encoding="utf-8")
+            answers, questions = load_answers(a), load_model(m)
+            if not loaded:
+                answers, questions = list(answers), list(questions)
+            with pytest.raises(EssayScoreError) as exc:
+                score_corpus(answers, questions, lexicons)
+            return str(exc.value)
+
+        unknown = error(answers_text.replace("\ns1,q2,", "\ns1,q9,", 1), model_text)
+        tokenless = error(answers_text, model_text.replace(
+            "\nq2,Ibu kota negara Indonesia adalah Jakarta,", "\nq2,...,", 1
+        ))
+        if loaded:
+            assert unknown == (
+                f"{a}: line 3: answer 's1' refers to unknown question 'q9' (not in {m})"
+            )
+            assert tokenless == (
+                f"{m}: line 3: question 'q2': model answer has no terms after preprocessing"
+            )
+        else:
+            assert unknown == "answer 's1' refers to unknown question 'q9'"
+            assert tokenless == "question 'q2': model answer has no terms after preprocessing"
+
+    def test_a_loaded_list_changed_in_length_names_no_line(self, data_dir):
+        answers = load_answers(data_dir / "answers.csv")
+        questions = load_model(data_dir / "model.csv")
+        answers.append(RawEssay("s9", "q9", "x"))
+        with pytest.raises(EssayScoreError) as exc:
+            score_corpus(answers, questions, EMPTY)
+        assert str(exc.value) == (
+            f"answer 's9' refers to unknown question 'q9' (not in {data_dir / 'model.csv'})"
+        )
 
     @pytest.mark.parametrize("answers", [[], [RawEssay("s1", "q1", "x")]], ids=["empty", "one"])
     @pytest.mark.parametrize(
