@@ -20,6 +20,7 @@ usage.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import errno
 import math
@@ -292,7 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.flush()
         except OSError as exc:
             # as the Python docs' note on SIGPIPE advises, stdout goes to
-            # devnull so the flush at exit cannot fail again
+            # devnull so run()'s flush at exit cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             if exc.errno != errno.EPIPE:  # a reader that left wants no message
                 print(f"error: <stdout>: {exc.strerror}", file=sys.stderr)
@@ -300,5 +301,31 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
+def run() -> None:
+    """The console script: ``main()``, then exit without the interpreter's teardown.
+
+    The status is ``main()``'s, or argparse's ``SystemExit`` code. The
+    ``atexit`` handlers run and stdout and stderr are flushed, in the
+    interpreter's own order, then the process ends without freeing each
+    object. A failed flush, a non-int status or ``python -i`` (whose prompt
+    comes after the script) takes the interpreter's own exit, so what it
+    prints and its status stay as they were.
+    """
+    try:
+        status = main()
+    except SystemExit as exc:
+        status = exc.code
+    if not isinstance(status, int) or sys.flags.inspect:
+        sys.exit(status)
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the fd was closed at start-up
+                stream.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

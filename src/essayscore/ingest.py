@@ -107,18 +107,37 @@ def _first_non_utf8(path: Path, exc: UnicodeDecodeError) -> str:
 
 
 class _Rows(list):
-    """The records of file ``path`` in file order; record ``k``'s row starts on ``lines[k]``."""
+    """The records of file ``path`` in file order; record ``k``'s row starts on ``lines[k]``.
+
+    Any in-place change to the list sets ``lines`` to None, since record
+    ``k`` may then be another row.
+    """
 
     __slots__ = ("path", "lines")
+
+
+def _forgetting_lines(change: Callable) -> Callable:
+    def changed(self, *args, **kwargs):
+        self.lines = None
+        return change(self, *args, **kwargs)
+
+    return changed
+
+
+for _name in (
+    "__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+    "insert", "pop", "remove", "clear", "sort", "reverse",
+):
+    setattr(_Rows, _name, _forgetting_lines(getattr(list, _name)))
 
 
 def _where(records: Sequence, k: int | None = None) -> str:
     """Where loaded ``records`` came from: their file, or record ``k``'s ``"<file>: line N: "``.
 
     Records no loader made, such as a plain list, come from nowhere: "", as
-    does a loaded list since changed in length, whose lines no longer fit.
+    do loaded records since changed in place, whose lines no longer fit.
     """
-    if not isinstance(records, _Rows) or len(records.lines) != len(records):
+    if not isinstance(records, _Rows) or records.lines is None:
         return ""
     return str(records.path) if k is None else f"{records.path}: line {records.lines[k]}: "
 
@@ -138,6 +157,7 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], o
     records = _Rows()
     records.path = path
     records.lines = array("L")
+    append = super(_Rows, records).append  # list's own, which keeps the lines
     with _open_input(path) as fh:
         reader = csv.reader(fh, strict=True)
         start = 1
@@ -154,7 +174,7 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], o
                     raise EssayScoreError(
                         f"{path}: line {start}: expected {len(header)} fields, got {len(row)}"
                     )
-                records.append(make(row, start))
+                append(make(row, start))
                 records.lines.append(start)
                 start = reader.line_num + 1
         except csv.Error as exc:

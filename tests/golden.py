@@ -11,8 +11,11 @@ warnings show; and the benchmark corpora, made by ``bench/``'s
 ``write_corpus`` at seed 0 or 1, each with the four ``BENCH_COMMANDS``.
 A run's outcome is its exit status and the sha256 of its stdout, its
 stderr (with the corpus directory written ``<corpus>``) and each file it
-writes. Outputs do not depend on the CPU count, so the same outcomes hold
-on one CPU (``taskset -c 0 python tests/golden.py``) and on every CPU.
+writes. The runs on ``data/`` are also made through the shipped entry
+point, ``python -m essayscore.cli``, in a child process, and compared with
+the same entries. Outputs do not depend on the CPU count, so the same
+outcomes hold on one CPU (``taskset -c 0 python tests/golden.py``) and on
+every CPU.
 
 ``--seed`` picks the runs on that seed's benchmark corpora; the runs on
 ``data/`` go with seed 0. Without ``--seed`` every run is made. The
@@ -28,11 +31,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import essayscore
 from essayscore.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,8 +91,12 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def outcome(corpus: Path, command: str, out: Path) -> dict:
-    """Exit status and sha256 of stdout, stderr and each file of one CLI run."""
+def outcome(corpus: Path, command: str, out: Path, child: bool = False) -> dict:
+    """Exit status and sha256 of stdout, stderr and each file of one CLI run.
+
+    With ``child``, the run is ``python -m essayscore.cli`` in a child
+    process that imports this process's ``essayscore``.
+    """
     argv = [
         *command.split(),
         "--answers", str(corpus / "answers.csv"),
@@ -97,27 +107,44 @@ def outcome(corpus: Path, command: str, out: Path) -> dict:
     ]
     if not command.startswith("score"):
         argv += ["--grades", str(corpus / "grades.csv")]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        status = cli_main(argv)
+    if child:
+        src = str(Path(essayscore.__file__).parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "essayscore.cli", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            timeout=120,
+        )
+        status, stdout, stderr = result.returncode, result.stdout.decode(), result.stderr.decode()
+    else:
+        out_text, err_text = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out_text), contextlib.redirect_stderr(err_text):
+            status = cli_main(argv)
+        stdout, stderr = out_text.getvalue(), err_text.getvalue()
     files = sorted(out.iterdir()) if out.is_dir() else []
     return {
         "exit": status,
-        "stdout": _sha256(stdout.getvalue().replace(str(corpus), "<corpus>").encode()),
-        "stderr": _sha256(stderr.getvalue().replace(str(corpus), "<corpus>").encode()),
+        "stdout": _sha256(stdout.replace(str(corpus), "<corpus>").encode()),
+        "stderr": _sha256(stderr.replace(str(corpus), "<corpus>").encode()),
         "files": {path.name: _sha256(path.read_bytes()) for path in files},
     }
 
 
-def outcomes(seed: int) -> dict[str, dict]:
-    """The outcome of each run of ``seed``, keyed ``corpus: command``."""
+def outcomes(seed: int, child: bool = False) -> dict[str, dict]:
+    """The outcome of each run of ``seed``, keyed ``corpus: command``.
+
+    With ``child``, only the runs on ``data/``, each in a child process.
+    """
     got = {}
     with tempfile.TemporaryDirectory() as tmp:
         for k, (name, command) in enumerate(runs(seed)):
+            if child and not name.startswith("data"):
+                continue
             corpus = Path(tmp, name)
             if not corpus.exists():
                 write_corpus(name, corpus)
-            got[f"{name}: {command}"] = outcome(corpus, command, Path(tmp, f"out{k}"))
+            got[f"{name}: {command}"] = outcome(corpus, command, Path(tmp, f"out{k}"), child)
     return got
 
 
@@ -154,7 +181,13 @@ def main(argv: list[str] | None = None) -> int:
         stored = load() if GOLDEN.exists() else {}
         GOLDEN.write_text(json.dumps({**stored, **got}, indent=1) + "\n", encoding="utf-8")
         return 0
-    problems = differences(got, load())
+    want = load()
+    problems = differences(got, want)
+    if args.seed in (None, 0):
+        problems += [
+            f"python -m essayscore.cli: {problem}"
+            for problem in differences(outcomes(0, child=True), want)
+        ]
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

@@ -38,16 +38,27 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-def run_cli(args, stdout):
-    """The CLI in a child process with ``stdout`` as its standard output."""
+CLOSED = "closed"  # run_cli's stdout for a child started with fd 1 closed, as `>&-` does
+# the CLI as it ended before cli.run: through the interpreter's own exit
+SYS_EXIT_MAIN = ("-c", "import sys; from essayscore.cli import main; sys.exit(main())")
+
+
+def run_cli(args, stdout, *, entry=("-m", "essayscore.cli"), **options):
+    """The CLI in a child process with ``stdout`` as its standard output.
+
+    ``options`` go to ``subprocess.run``; the streams are text by default.
+    """
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, *entry, *args]
+    if stdout is CLOSED:
+        command, stdout = ["sh", "-c", 'exec "$@" >&-', "sh", *command], None
     return subprocess.run(
-        [sys.executable, "-m", "essayscore.cli", *args],
+        command,
         stdout=stdout,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": pythonpath},
-        text=True,
         timeout=120,
+        **{"text": True, **options},
     )
 
 
@@ -1110,3 +1121,114 @@ def test_answers_freed_before_the_first_record(data_dir, tmp_path, monkeypatch, 
     args = cli_args(data_dir, tmp_path / "out", grades=command != "score")
     assert main([command, *args]) == 0
     assert len(refs) == 1
+
+
+@contextlib.contextmanager
+def unwritable_stdout(kind):
+    """A child's stdout that takes no byte: fd 1 closed, ``/dev/full`` or a pipe whose reader left."""
+    if kind == "closed":
+        yield CLOSED
+    elif kind == "full":
+        with open("/dev/full", "wb") as full:
+            yield full
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            yield write_end
+        finally:
+            os.close(write_end)
+
+
+class TestEntryPoint:
+    """``python -m essayscore.cli`` ends through ``cli.run`` without the interpreter's teardown.
+
+    Its children run with stdout buffered, as a console script's is, so a
+    failed write shows at the flush on exit.
+    """
+
+    @pytest.fixture(autouse=True)
+    def child_env(self, monkeypatch):
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")  # the width of --help, in process and in the child
+
+    @staticmethod
+    def command_args(data_dir, out, command):
+        if command == "usage":
+            return ["score", *cli_args(data_dir, out), "--ngram", "4"]
+        if command == "bad-input":
+            return ["score", *cli_args(data_dir, out), "--answers", str(out.parent / "missing.csv")]
+        if command == "--help":
+            return ["--help"]
+        return [command, *cli_args(data_dir, out, grades=command != "score")]
+
+    @pytest.mark.parametrize(
+        "command, status",
+        [("--help", 0), ("usage", 2), ("bad-input", 1), ("score", 0), ("compare", 0)],
+    )
+    def test_as_main_in_process(self, data_dir, tmp_path, capsys, command, status):
+        try:
+            got = main(self.command_args(data_dir, tmp_path / "in", command))
+        except SystemExit as exc:
+            got = exc.code
+        out, err = capsys.readouterr()
+        result = run_cli(
+            self.command_args(data_dir, tmp_path / "child", command), subprocess.PIPE, text=False
+        )
+        assert got == status
+        assert (result.returncode, result.stdout, result.stderr) == (
+            status, out.encode(), err.encode()
+        )
+        assert tree(tmp_path / "child") == tree(tmp_path / "in")
+        if command == "compare":
+            assert out.startswith("rmse by question")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "kind, statuses",
+        [
+            ("closed", {"--help": 0, "score": 0, "compare": 1}),
+            ("full", {"--help": 120, "score": 0, "compare": 1}),
+            ("gone", {"--help": 120, "score": 0, "compare": 1}),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["--help", "score", "compare"])
+    def test_unwritable_stdout_as_the_interpreters_exit(
+        self, data_dir, tmp_path, kind, statuses, command
+    ):
+        """Status and stderr as ``sys.exit(main())`` gives, the parent's; a traceback's last line."""
+        results = []
+        for k, entry in enumerate([("-m", "essayscore.cli"), SYS_EXIT_MAIN]):
+            with unwritable_stdout(kind) as stdout:
+                args = self.command_args(data_dir, tmp_path / f"out{k}", command)
+                results.append(run_cli(args, stdout, entry=entry))
+        got, want = results
+        assert got.returncode == want.returncode == statuses[command]
+        if want.stderr.startswith("Traceback"):  # whose frames name the entry
+            assert got.stderr.startswith("Traceback")
+            assert got.stderr.splitlines()[-1] == want.stderr.splitlines()[-1]
+        else:
+            assert got.stderr == want.stderr
+        assert tree(tmp_path / "out0") == tree(tmp_path / "out1")
+
+    def test_atexit_handlers_still_run(self, data_dir, tmp_path, monkeypatch):
+        """A handler runs, and what it prints is flushed, as with the interpreter's own exit."""
+        site = tmp_path / "site"
+        site.mkdir()
+        ran = tmp_path / "ran"
+        (site / "sitecustomize.py").write_text(
+            "import atexit, pathlib\n"
+            f"atexit.register(lambda: (pathlib.Path({str(ran)!r}).touch(), print('at exit')))\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setenv("PYTHONPATH", str(site))
+        result = run_cli(["score", *cli_args(data_dir, tmp_path / "out")], subprocess.PIPE)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "at exit\n", "")
+        assert ran.exists()
+
+    def test_python_i_still_reaches_the_prompt(self):
+        result = run_cli(
+            ["--help"], subprocess.PIPE, entry=("-i", "-m", "essayscore.cli"), input="print('prompt')\n"
+        )
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: essayscore") and result.stdout.endswith("prompt\n")

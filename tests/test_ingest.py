@@ -581,3 +581,19 @@ class TestLineAfterMultiLineField:
         answers = load_answers(p)
         assert [a.student_id for a in answers] == ["s1", "s2", "s3"]
         assert list(answers.lines) == [2, 4, 5]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            "r[0] = r[2]", "del r[0]", "r += r[:1]", "r *= 2", "r.append(r[0])",
+            "r.extend(r[:1])", "r.insert(0, r[2])", "r.pop()", "r.remove(r[0])", "r.clear()",
+            "r.sort(reverse=True)", "r.reverse()",
+        ],
+    )
+    def test_any_in_place_change_forgets_the_lines(self, tmp_path, change):
+        p = write(tmp_path / "f.csv", "student_id,question_id,answer_text\ns1,q1,x\ns2,q1,y\ns3,q1,z\n")
+        rows, plain = load_answers(p), list(load_answers(p))
+        exec(change, {"r": rows})
+        exec(change, {"r": plain})
+        assert rows == plain
+        assert rows.lines is None

@@ -162,6 +162,30 @@ class TestScoreCorpus:
             f"answer 's9' refers to unknown question 'q9' (not in {data_dir / 'model.csv'})"
         )
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda a: a.sort(key=lambda r: r.question_id),
+            lambda a: a.reverse(),
+            lambda a: a.__setitem__(slice(0, 2), a[1::-1]),
+        ],
+        ids=["sort", "reverse", "item-assignment"],
+    )
+    def test_a_loaded_list_reordered_in_place_names_no_line(self, data_dir, tmp_path, change):
+        """s1's answer to q9 is on line 3; after the change no line is named, not a wrong one."""
+        a = tmp_path / "answers.csv"
+        a.write_text(
+            (data_dir / "answers.csv").read_text(encoding="utf-8").replace("\ns1,q2,", "\ns1,q9,", 1),
+            encoding="utf-8",
+        )
+        answers = load_answers(a)
+        change(answers)
+        with pytest.raises(EssayScoreError) as exc:
+            score_corpus(answers, load_model(data_dir / "model.csv"), EMPTY)
+        assert str(exc.value) == (
+            f"answer 's1' refers to unknown question 'q9' (not in {data_dir / 'model.csv'})"
+        )
+
     @pytest.mark.parametrize("answers", [[], [RawEssay("s1", "q1", "x")]], ids=["empty", "one"])
     @pytest.mark.parametrize(
         "config, message",
