@@ -288,6 +288,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc.filename2 or exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
         return 1
     if args.command == "compare":
+        if sys.stdout is None:  # fd 1 was closed at start-up
+            print(f"error: <stdout>: {os.strerror(errno.EBADF)}", file=sys.stderr)
+            return 1
         try:
             _print_grid(files["compare.csv"][1])
             sys.stdout.flush()

@@ -18,10 +18,12 @@ record after the answer texts are gone.
 
 Each gram of a question goes through a per-size dict that maps it to its
 first instance, so equal grams share one str and a repeated gram costs
-one pointer; the dict is dropped before the fit. A question's tokens are
-kept for its later sizes only when there are any, passed through such a
-dict the same way. At its peak a question holds one pointer per gram and
-kept token, one string per distinct gram and token, and one term table.
+one pointer. The fit then counts into that same dict, which becomes the
+vocabulary's idf table, so each size builds one term table, not two. A
+question's tokens are kept for its later sizes only when there are any,
+passed through such a dict the same way. At its peak a question holds one
+pointer per gram and kept token, one string per distinct gram and token,
+and one term table.
 A dict is used rather than sys.intern because interned strings outlive
 the question: after 200,000 of them are released, CPython 3.12.1 still
 holds 21.8 of their 23.4 MiB, and 3.11 and 3.13 keep a 7.3 MiB table.
@@ -206,14 +208,14 @@ def _score_question(
         del first
     for size, scorers in by_size.items():
         # each gram maps to its first instance, so equal grams share one str;
-        # the table goes before the fit, which builds the question's term table
+        # the fit counts into this table, which lives on as vocab.idf
         first = {}
         docs = [
             list(map(first.setdefault, grams, grams))
             for grams in map(extract_ngrams, token_lists, repeat(size))
         ]
+        vocab = fit_vocabulary(docs, log_base=log_base, _terms=first)
         del first
-        vocab = fit_vocabulary(docs, log_base=log_base)
         # the model vector is scaled and normed once, not once per answer
         q_vec = _prepare_query(transform(docs[0], vocab))
         for i, grams in zip(ids, docs[1:]):

@@ -5,7 +5,10 @@ count, so every non-empty document's frequencies sum to one. Inverse
 document frequency is log(N / df) over N documents, df of which hold the
 term. It is computed once for each distinct df, and every term with that
 df shares the value. The df counts are kept in the dict that becomes the
-idf table and are overwritten in place, so a fit holds one term table.
+idf table and are overwritten in place, so a fit holds one term table. A
+caller that already holds a dict keyed by the corpus's terms, as scoring
+does to share equal grams, can have the fit count into that dict, so the
+corpus's terms are tabled once in all.
 The log base defaults to natural log and is configurable. It must be
 finite and greater than 1; such a base only rescales every weight by the
 same positive constant and therefore cannot change cosine or Jaccard
@@ -42,20 +45,30 @@ def _check_log_base(log_base: float) -> None:
         raise EssayScoreError(f"log base must be finite and greater than 1, got {log_base!r}")
 
 
-def fit_vocabulary(docs: list[list[str]], log_base: float = math.e) -> Vocabulary:
+def fit_vocabulary(
+    docs: list[list[str]], log_base: float = math.e, *, _terms: dict | None = None
+) -> Vocabulary:
     """Fit the idf of every term over a collection of gram profiles.
 
     Individual documents may be empty (they still count toward the corpus
     size); the collection itself must not be.
+
+    ``_terms``, private, is a dict each of whose keys is a term of
+    ``docs``. Its values are reset to 0 in place and the counts go into
+    it, so it becomes the returned ``idf`` and the caller's table is the
+    fit's one term table.
     """
     _check_log_base(log_base)
     if not docs:
         raise EssayScoreError("cannot fit a vocabulary over zero documents")
     size = len(docs)
-    # the df counts go into the plain dict that is returned, each then
-    # overwritten by its idf, so a fit never holds two term tables;
-    # Counter.update runs its C counting loop on any dict
-    idf: dict[str, float] = {}
+    # the df counts go into the plain dict that is returned, a caller's
+    # _terms reset in place or a new one, each then overwritten by its idf,
+    # so a fit never holds two term tables; Counter.update runs its C
+    # counting loop on any dict
+    idf: dict[str, float] = {} if _terms is None else _terms
+    for term in idf:
+        idf[term] = 0
     for grams in docs:
         Counter.update(idf, set(grams))
     idf_by_df = {n_docs: math.log(size / n_docs, log_base) for n_docs in set(idf.values())}

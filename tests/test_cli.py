@@ -1211,6 +1211,16 @@ class TestEntryPoint:
             assert got.stderr == want.stderr
         assert tree(tmp_path / "out0") == tree(tmp_path / "out1")
 
+    def test_compare_with_stdout_closed_names_the_bad_descriptor(self, data_dir, tmp_path, capsys):
+        """One ``error: <stdout>:`` line, as for ``/dev/full``, and ``compare.csv`` kept."""
+        assert main(["compare", *cli_args(data_dir, tmp_path / "in", grades=True)]) == 0
+        capsys.readouterr()
+        result = run_cli(["compare", *cli_args(data_dir, tmp_path / "child", grades=True)], CLOSED)
+        assert (result.returncode, result.stderr) == (
+            1, f"error: <stdout>: {os.strerror(errno.EBADF)}\n"
+        )
+        assert tree(tmp_path / "child") == tree(tmp_path / "in")
+
     def test_atexit_handlers_still_run(self, data_dir, tmp_path, monkeypatch):
         """A handler runs, and what it prints is flushed, as with the interpreter's own exit."""
         site = tmp_path / "site"

@@ -1,11 +1,15 @@
 """Scoring tests: per-question records, aggregation, and reproducibility."""
 
 import errno
+import gc
 import math
 import os
+import random
 import signal
+import string
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -18,9 +22,11 @@ from essayscore import (
     ScoreRecord,
     StudentScore,
     aggregate_totals,
+    extract_ngrams,
     load_answers,
     load_lexicons,
     load_model,
+    preprocess_pipeline,
     score_corpus,
 )
 
@@ -293,9 +299,9 @@ class TestScoreCorpus:
         fitted = []
         original = scoring.fit_vocabulary
 
-        def capturing(docs, log_base):
+        def capturing(docs, log_base, **kwargs):
             fitted.append(docs)
-            return original(docs, log_base=log_base)
+            return original(docs, log_base=log_base, **kwargs)
 
         monkeypatch.setattr(scoring, "fit_vocabulary", capturing)
         score_corpus(answers, questions, lexicons, metric="cosine", n=n)
@@ -478,6 +484,38 @@ class TestParallel:
         sizes = {"q1": 5, "q2": 9, "q3": 5, "q4": 1}
         assert scoring._shares(sizes, 2) == [["q2", "q4"], ["q1", "q3"]]
         assert scoring._shares(sizes, 1) == [["q2", "q1", "q3", "q4"]]
+
+
+class TestScoreMemory:
+    def test_trigram_peak_close_to_what_a_question_holds(self):
+        # the fit counts into the table that shares equal grams, so a
+        # question's mostly distinct trigrams are tabled once, not twice
+        rng = random.Random(0)
+        words = ["".join(rng.choices(string.ascii_lowercase, k=6)) for _ in range(2000)]
+        question = make_question(text=" ".join(rng.choices(words, k=300)))
+        answers = [RawEssay(f"s{i}", "q1", " ".join(rng.choices(words, k=1500))) for i in range(40)]
+        texts = [question.model_answer] + [a.text for a in answers]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            # what the question must hold: each gram shared, and one table
+            table = {}
+            docs = [
+                list(map(table.setdefault, grams, grams))
+                for grams in (extract_ngrams(preprocess_pipeline(t, EMPTY), 3) for t in texts)
+            ]
+            held = tracemalloc.get_traced_memory()[0] - before
+            del table, docs
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            records = score_corpus(answers, [question], EMPTY, metric="cosine", n=3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 40
+        # 1.04-1.05 on 3.10 to 3.13; a second term table made it 1.17-1.20
+        assert peak <= 1.10 * held
 
 
 class TestAggregation:

@@ -75,6 +75,33 @@ class TestFitVocabulary:
         # a second term table alive during the fit would reach 2.5 times
         assert peak < 2 * table
 
+    @pytest.mark.parametrize(
+        "docs",
+        [
+            [["a", "b"], ["a"], ["a", "c"], ["d"]],
+            [["a"], ["a"]],  # every idf zero
+            [["a", "b"], ["a", "a"], [], []],  # empty documents
+            [[], []],  # no term at all
+        ],
+    )
+    @pytest.mark.parametrize("value", ["first", 7])
+    def test_fit_into_a_callers_terms_table(self, docs, value):
+        # the table scoring holds maps each gram to its first instance;
+        # whatever its values, they are reset before the counts go in
+        table = {gram: gram if value == "first" else value for grams in docs for gram in grams}
+        vocab = fit_vocabulary(docs, log_base=2.0, _terms=table)
+        assert vocab.idf is table
+        plain = fit_vocabulary(docs, log_base=2.0).idf
+        assert table.keys() == plain.keys()
+        assert {t: v.hex() for t, v in table.items()} == {t: v.hex() for t, v in plain.items()}
+
+    @given(docs_strategy)
+    def test_fit_into_every_term_of_the_docs_equals_a_plain_fit(self, docs):
+        table = {gram: gram for grams in docs for gram in grams}
+        vocab = fit_vocabulary(docs, _terms=table)
+        assert vocab.idf is table
+        assert table == fit_vocabulary(docs).idf
+
     def test_empty_documents_count_toward_corpus_size(self):
         vocab = fit_vocabulary([["a"], [], []])
         assert vocab.idf["a"] == pytest.approx(math.log(3), abs=1e-15)
