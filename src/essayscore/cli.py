@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .errors import EssayScoreError
 from .evaluation import EvaluationReport, build_report
-from .ingest import HumanGrade, RawEssay, load_answers, load_grades, load_lexicons, load_model
+from .ingest import HumanGrade, RawEssay, _line, load_answers, load_grades, load_lexicons, load_model
 from .ngrams import VALID_NGRAM_SIZES
 from .scoring import ScoreRecord, aggregate_totals, score_corpus
 from .similarity import SIMILARITY_METRICS
@@ -124,7 +124,7 @@ def _answered_grades(args: argparse.Namespace, essays: Sequence[RawEssay]) -> li
         )
         _warn(
             f"{args.grades}: skipped {len(grades) - len(kept)} grade row(s) referencing "
-            f"unknown students or unanswered questions, the first on line {grades.lines[first]}"
+            f"unknown students or unanswered questions, the first on line {_line(grades, first)}"
         )
     return kept
 
@@ -235,12 +235,22 @@ def cmd_compare(args: argparse.Namespace) -> OutputFiles:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, ignoring a failed write of its help or usage as 3.11's does."""
+
+    def _print_message(self, message, file=None):
+        try:
+            super()._print_message(message, file)
+        except (AttributeError, OSError):
+            pass
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="essayscore",
         description="Score student essay answers against teacher model answers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # whose parsers are _Parsers
     # name, handler, help, reads --grades, takes --metric/--ngram
     commands = (
         ("score", cmd_score, "score a corpus and write points", False, True),

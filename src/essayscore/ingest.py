@@ -7,9 +7,11 @@ order-preserving and purely a function of file contents.
 Each input file is read once, and each data row becomes its record as
 soon as it is read, so no file's rows are held beside its records. Each
 record's line is kept with it, so a later diagnostic names its line
-without reading the file again. The first fault in file order is
-reported, and reading stops there (within a row, a bad number is found
-before an empty key, and a repeated key last).
+without reading the file again: a record names its line while it stays
+where it was loaded, and the file is named while the list is as loaded.
+The first fault in file order is reported, and reading stops there
+(within a row, a bad number is found before an empty key, and a repeated
+key last).
 
 File formats:
 
@@ -107,39 +109,35 @@ def _first_non_utf8(path: Path, exc: UnicodeDecodeError) -> str:
 
 
 class _Rows(list):
-    """The records of file ``path`` in file order; record ``k``'s row starts on ``lines[k]``.
+    """The records of file ``path``; ``made`` holds them as loaded.
 
-    Any in-place change to the list sets ``lines`` to None, since record
-    ``k`` may then be another row.
+    ``made[k]``'s row starts on ``lines[k]``. The list may change in place,
+    so a line is read through ``_line``.
     """
 
-    __slots__ = ("path", "lines")
+    __slots__ = ("path", "lines", "made")
 
 
-def _forgetting_lines(change: Callable) -> Callable:
-    def changed(self, *args, **kwargs):
-        self.lines = None
-        return change(self, *args, **kwargs)
-
-    return changed
-
-
-for _name in (
-    "__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
-    "insert", "pop", "remove", "clear", "sort", "reverse",
-):
-    setattr(_Rows, _name, _forgetting_lines(getattr(list, _name)))
+def _line(records: Sequence, k: int) -> int | None:
+    """The line record ``k`` starts on, while it is the record loaded at ``k``; else None."""
+    if isinstance(records, _Rows) and k < len(records.made) and records[k] is records.made[k]:
+        return records.lines[k]
+    return None
 
 
 def _where(records: Sequence, k: int | None = None) -> str:
     """Where loaded ``records`` came from: their file, or record ``k``'s ``"<file>: line N: "``.
 
-    Records no loader made, such as a plain list, come from nowhere: "", as
-    do loaded records since changed in place, whose lines no longer fit.
+    The file is named while the list holds just the records loaded, in file
+    order, and record ``k``'s line while ``_line`` finds one; else "".
     """
-    if not isinstance(records, _Rows) or records.lines is None:
-        return ""
-    return str(records.path) if k is None else f"{records.path}: line {records.lines[k]}: "
+    if k is not None:
+        line = _line(records, k)
+        return "" if line is None else f"{records.path}: line {line}: "
+    if isinstance(records, _Rows) and len(records) == len(records.made):
+        if all(a is b for a, b in zip(records, records.made)):
+            return str(records.path)
+    return ""
 
 
 def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], object]) -> _Rows:
@@ -148,7 +146,8 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], o
     A row's line is the physical line it starts on, one past where the row
     before it ended, so a quoted field spanning lines shifts no later row.
     Each row gives way to what ``make`` returns as soon as it is read, so
-    the rows are never all held at once; its line is kept, 8 bytes a row.
+    the rows are never all held at once; its line and the record loaded are
+    kept, 16 bytes a row.
     The first fault in file order is raised as soon as it is read, and
     reading stops there: a CSV syntax error (naming the line its row starts
     on), a wrong header, a row with the wrong field count, or an error
@@ -157,7 +156,6 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], o
     records = _Rows()
     records.path = path
     records.lines = array("L")
-    append = super(_Rows, records).append  # list's own, which keeps the lines
     with _open_input(path) as fh:
         reader = csv.reader(fh, strict=True)
         start = 1
@@ -174,11 +172,12 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], o
                     raise EssayScoreError(
                         f"{path}: line {start}: expected {len(header)} fields, got {len(row)}"
                     )
-                append(make(row, start))
+                records.append(make(row, start))
                 records.lines.append(start)
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise EssayScoreError(f"{path}: line {start}: {exc}") from exc
+    records.made = tuple(records)
     return records
 
 

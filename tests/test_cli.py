@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from essayscore import cli, scoring
+from essayscore import cli, ingest, scoring
 from essayscore.cli import main
 from conftest import cli_args
 
@@ -512,6 +512,24 @@ class TestFileBoundary:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {stopwords}: not valid UTF-8 (")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_read_fault_exit_1_without_creating_out(self, data_dir, tmp_path, monkeypatch, capsys):
+        answers = data_dir / "answers.csv"
+
+        def failing_open(file, *args, **kwargs):
+            if Path(file) != answers:
+                return open(file, *args, **kwargs)
+
+            def lines():
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+                yield
+
+            return contextlib.nullcontext(lines())
+
+        monkeypatch.setattr(ingest, "open", failing_open, raising=False)
+        assert main(["score", *cli_args(data_dir, tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {answers}: {os.strerror(errno.EIO)}\n"
         assert not (tmp_path / "out").exists()
 
     def test_failed_scoring_child_exit_1_without_creating_out(
@@ -1210,6 +1228,14 @@ class TestEntryPoint:
         else:
             assert got.stderr == want.stderr
         assert tree(tmp_path / "out0") == tree(tmp_path / "out1")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_help_to_a_full_unbuffered_stdout_exits_0(self, monkeypatch):
+        """The failed write is ignored, as by argparse since Python 3.11, not a traceback."""
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        with unwritable_stdout("full") as stdout:
+            result = run_cli(["--help"], stdout)
+        assert (result.returncode, result.stderr) == (0, "")
 
     def test_compare_with_stdout_closed_names_the_bad_descriptor(self, data_dir, tmp_path, capsys):
         """One ``error: <stdout>:`` line, as for ``/dev/full``, and ``compare.csv`` kept."""

@@ -1,9 +1,14 @@
 """Loader tests: happy paths, every error fixture, and round-trips."""
 
+import contextlib
+import copy
 import csv
+import errno
 import gc
+import os
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +23,8 @@ from essayscore import (
     load_model,
     preprocess_pipeline,
 )
-from essayscore.ingest import ANSWERS_HEADER, NORMALIZATION_HEADER, _read_rows
+from essayscore import ingest
+from essayscore.ingest import ANSWERS_HEADER, NORMALIZATION_HEADER, _read_rows, _where
 
 
 def write(path, text):
@@ -468,6 +474,30 @@ class TestNonUtf8Position:
             load_lexicons(p, write(tmp_path / "norm.csv", "slang,formal\n"))
         assert str(exc.value) == f"{p}: not valid UTF-8 (byte 0xe9 on line 3)"
 
+    def test_a_file_that_now_decodes_is_described_by_the_readers_error(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"student_id,question_id,answer_text\ns1,q1,caf\xe9\n")
+        monkeypatch.setattr(Path, "read_bytes", lambda self: b"student_id,question_id,answer_text\n")
+        with pytest.raises(EssayScoreError) as exc:
+            load_answers(p)
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+        assert str(exc.value) == f"{p}: not valid UTF-8 ({exc.value.__cause__})"
+
+
+def test_a_fault_reading_a_file_names_it(tmp_path, monkeypatch):
+    def failing_open(*args, **kwargs):
+        def lines():
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+            yield
+
+        return contextlib.nullcontext(lines())
+
+    p = write(tmp_path / "a.csv", "student_id,question_id,answer_text\n")
+    monkeypatch.setattr(ingest, "open", failing_open, raising=False)
+    with pytest.raises(EssayScoreError) as exc:
+        load_answers(p)
+    assert str(exc.value) == f"{p}: {os.strerror(errno.EIO)}"
+
 
 class TestPathInMessages:
     """Every diagnostic names its file the same way, as a normalized Path."""
@@ -587,13 +617,27 @@ class TestLineAfterMultiLineField:
         [
             "r[0] = r[2]", "del r[0]", "r += r[:1]", "r *= 2", "r.append(r[0])",
             "r.extend(r[:1])", "r.insert(0, r[2])", "r.pop()", "r.remove(r[0])", "r.clear()",
-            "r.sort(reverse=True)", "r.reverse()",
+            "r.sort(reverse=True)", "r.reverse()", "list.sort(r, reverse=True)",
+            "r.__init__(r[::-1])",
         ],
     )
     def test_any_in_place_change_forgets_the_lines(self, tmp_path, change):
+        """After any change a record names its line only at its loaded index, and the list no file."""
         p = write(tmp_path / "f.csv", "student_id,question_id,answer_text\ns1,q1,x\ns2,q1,y\ns3,q1,z\n")
         rows, plain = load_answers(p), list(load_answers(p))
+        loaded = list(rows)
         exec(change, {"r": rows})
         exec(change, {"r": plain})
         assert rows == plain
-        assert rows.lines is None
+        assert [_where(rows, k) for k in range(len(rows))] == [
+            f"{p}: line {k + 2}: " if k < len(loaded) and record is loaded[k] else ""
+            for k, record in enumerate(rows)
+        ]
+        assert _where(rows) == ""
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+    def test_a_copy_keeps_the_lines(self, tmp_path, duplicate):
+        p = write(tmp_path / "f.csv", 'student_id,question_id,answer_text\ns1,q1,"x\ny"\ns2,q1,z\n')
+        rows = duplicate(load_answers(p))
+        assert [_where(rows, k) for k in range(2)] == [f"{p}: line 2: ", f"{p}: line 4: "]
+        assert _where(rows) == str(p)

@@ -168,29 +168,53 @@ class TestScoreCorpus:
             f"answer 's9' refers to unknown question 'q9' (not in {data_dir / 'model.csv'})"
         )
 
+    @pytest.fixture
+    def q9_answers(self, data_dir, tmp_path):
+        """A copy of ``data/answers.csv`` whose line 3, s1's answer to q2, answers q9."""
+        a = tmp_path / "answers.csv"
+        a.write_text(
+            (data_dir / "answers.csv").read_text(encoding="utf-8").replace("\ns1,q2,", "\ns1,q9,", 1),
+            encoding="utf-8",
+        )
+        return a
+
     @pytest.mark.parametrize(
         "change",
         [
             lambda a: a.sort(key=lambda r: r.question_id),
             lambda a: a.reverse(),
             lambda a: a.__setitem__(slice(0, 2), a[1::-1]),
+            lambda a: list.sort(a, key=lambda r: r.question_id),
+            lambda a: a.__init__(sorted(a, key=lambda r: r.question_id)),
         ],
-        ids=["sort", "reverse", "item-assignment"],
+        ids=["sort", "reverse", "item-assignment", "list.sort", "init"],
     )
-    def test_a_loaded_list_reordered_in_place_names_no_line(self, data_dir, tmp_path, change):
+    def test_a_loaded_list_reordered_in_place_names_no_line(self, data_dir, q9_answers, change):
         """s1's answer to q9 is on line 3; after the change no line is named, not a wrong one."""
-        a = tmp_path / "answers.csv"
-        a.write_text(
-            (data_dir / "answers.csv").read_text(encoding="utf-8").replace("\ns1,q2,", "\ns1,q9,", 1),
-            encoding="utf-8",
-        )
-        answers = load_answers(a)
+        answers = load_answers(q9_answers)
         change(answers)
         with pytest.raises(EssayScoreError) as exc:
             score_corpus(answers, load_model(data_dir / "model.csv"), EMPTY)
         assert str(exc.value) == (
             f"answer 's1' refers to unknown question 'q9' (not in {data_dir / 'model.csv'})"
         )
+
+    def test_a_record_still_where_it_was_loaded_names_its_line(self, data_dir, q9_answers):
+        answers = load_answers(q9_answers)
+        answers.append(answers[0])
+        with pytest.raises(EssayScoreError) as exc:
+            score_corpus(answers, load_model(data_dir / "model.csv"), EMPTY)
+        assert str(exc.value) == (
+            f"{q9_answers}: line 3: answer 's1' refers to unknown question 'q9' "
+            f"(not in {data_dir / 'model.csv'})"
+        )
+
+    def test_a_reordered_model_list_names_no_file(self, data_dir, q9_answers):
+        questions = load_model(data_dir / "model.csv")
+        questions.reverse()
+        with pytest.raises(EssayScoreError) as exc:
+            score_corpus(load_answers(q9_answers), questions, EMPTY)
+        assert str(exc.value) == f"{q9_answers}: line 3: answer 's1' refers to unknown question 'q9'"
 
     @pytest.mark.parametrize("answers", [[], [RawEssay("s1", "q1", "x")]], ids=["empty", "one"])
     @pytest.mark.parametrize(
