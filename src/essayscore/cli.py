@@ -235,22 +235,12 @@ def cmd_compare(args: argparse.Namespace) -> OutputFiles:
 # parser
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, ignoring a failed write of its help or usage as 3.11's does."""
-
-    def _print_message(self, message, file=None):
-        try:
-            super()._print_message(message, file)
-        except (AttributeError, OSError):
-            pass
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="essayscore",
         description="Score student essay answers against teacher model answers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)  # whose parsers are _Parsers
+    sub = parser.add_subparsers(dest="command", required=True)
     # name, handler, help, reads --grades, takes --metric/--ngram
     commands = (
         ("score", cmd_score, "score a corpus and write points", False, True),

@@ -514,6 +514,23 @@ class TestFileBoundary:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_nul_in_an_answer_reads_as_a_space(self, data_dir, tmp_path):
+        """A NUL inside a field is read, as csv does since Python 3.11, and scores as a space."""
+        scores = []
+        for name, between in [("nul", "\0"), ("space", " ")]:
+            answers = tmp_path / f"{name}.csv"
+            answers.write_text(
+                "student_id,question_id,answer_text\n"
+                f"s1,q1,Pancasila{between}dasar negara\ns2,q1,ibu kota\n",
+                encoding="utf-8",
+            )
+            args = cli_args(data_dir, tmp_path / name)
+            args[args.index("--answers") + 1] = str(answers)
+            assert main(["score", *args]) == 0
+            scores.append(read_rows(tmp_path / name / "scores.csv"))
+        assert scores[0] == scores[1]
+        assert scores[0][1][0] == "s1" and float(scores[0][1][-1]) > 0
+
     def test_read_fault_exit_1_without_creating_out(self, data_dir, tmp_path, monkeypatch, capsys):
         answers = data_dir / "answers.csv"
 

@@ -538,7 +538,7 @@ class TestScoreMemory:
         finally:
             tracemalloc.stop()
         assert len(records) == 40
-        # 1.04-1.05 on 3.10 to 3.13; a second term table made it 1.17-1.20
+        # 1.04-1.05 on 3.11 to 3.13; a second term table made it 1.17-1.20
         assert peak <= 1.10 * held
 
 
