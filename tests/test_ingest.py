@@ -368,6 +368,60 @@ class TestErrorRanking:
         assert calls == [2]
 
 
+def load_stopwords(path):
+    return load_lexicons(path, write(path.with_name("norm.csv"), "slang,formal\n"))
+
+
+def load_normalization(path):
+    return load_lexicons(write(path.with_name("stop.txt"), ""), path)
+
+
+ANSWERS = "student_id,question_id,answer_text\n"
+MODEL = "question_id,model_answer,weight\n"
+GRADES = "student_id,question_id,score\n"
+
+
+@pytest.mark.parametrize(
+    "loader, text, line, fault",
+    [
+        (load_model, MODEL + "q1,x,1\nq2,y,dua\n", 3, "weight 'dua' is not a number"),
+        (load_grades, GRADES + "s1,q1,x\n", 2, "score 'x' is not a number"),
+        (load_grades, GRADES + "s1,q1,5\ns2,q1,nan\n", 3, "score 'nan' is not finite"),
+        (load_model, MODEL + "q1,x,inf\n", 2, "weight 'inf' is not finite"),
+        (load_model, MODEL + "q1,x,1\nq2,y,-5\n", 3, "weight -5.0 is negative"),
+        (load_grades, GRADES + "s1,q1,-1\n", 2, "score -1.0 is negative"),
+        (load_answers, ANSWERS + "s1,q1,x\n,q1,y\n", 3, "empty student_id or question_id"),
+        (load_grades, GRADES + "s1,,5\n", 2, "empty student_id or question_id"),
+        (load_model, MODEL + "q1,x,1\n,y,2\n", 3, "empty question_id"),
+        (load_model, MODEL + "q1,x,1\nq2,,2\n", 3, "empty model answer"),
+        (load_answers, ANSWERS + "s1,q1,a\ns1,q1,b\n", 3, "duplicate answer for ('s1', 'q1')"),
+        (load_grades, GRADES + "s1,q1,5\ns1,q1,6\n", 3, "duplicate grade for ('s1', 'q1')"),
+        (load_model, MODEL + "q1,x,1\nq1,y,2\n", 3, "duplicate question 'q1'"),
+        (load_answers, ANSWERS + "s1,q1,a\ns2,q1\n", 3, "expected 3 fields, got 2"),
+        (load_answers, ANSWERS + 's1,q1,"bad"x\n', 2, "',' expected after '\"'"),
+        (
+            load_normalization, 'slang,formal\ngak,tidak\n"gak tau",tidak\n', 3,
+            "'gak tau' must be a single whitespace-free token",
+        ),
+        (load_normalization, "slang,formal\ntdk,\n", 2, "'' must be a single whitespace-free token"),
+        (load_stopwords, "yang\n# c\ndan lagi\n", 3, "'dan lagi' must be a single whitespace-free token"),
+    ],
+    ids=[
+        "not-a-number-weight", "not-a-number-score", "not-finite-score", "not-finite-weight",
+        "negative-weight", "negative-score", "empty-key-answers", "empty-key-grades",
+        "empty-key-model", "empty-model-answer", "duplicate-answer", "duplicate-grade",
+        "duplicate-question", "field-count", "csv-syntax", "slang-token", "formal-token",
+        "stopword-token",
+    ],
+)
+def test_row_fault_message_exact(tmp_path, loader, text, line, fault):
+    """Each kind of row fault reads ``"<file>: line N: <fault>"``, its location given once."""
+    p = write(tmp_path / "f.csv", text)
+    with pytest.raises(EssayScoreError) as exc:
+        loader(p)
+    assert str(exc.value) == f"{p}: line {line}: {fault}"
+
+
 class TestLoadLexicons:
     def test_stopwords_with_comment(self, tmp_path):
         sp = write(tmp_path / "stop.txt", "yang\ndan\n# comment\n\n")
