@@ -31,7 +31,9 @@ from pathlib import Path
 
 from .errors import EssayScoreError
 from .evaluation import EvaluationReport, build_report
-from .ingest import HumanGrade, RawEssay, _line, load_answers, load_grades, load_lexicons, load_model
+from .ingest import (
+    HumanGrade, RawEssay, _line, _where, load_answers, load_grades, load_lexicons, load_model,
+)
 from .ngrams import VALID_NGRAM_SIZES
 from .scoring import ScoreRecord, aggregate_totals, score_corpus
 from .similarity import SIMILARITY_METRICS
@@ -47,12 +49,16 @@ def _scored(
 
     The files load as answers, model, lexicons, then grades. That order
     decides which error a run with several bad files reports, so it stays
-    fixed. The grades, for a command that reads them, are those of answered
-    pairs. The answers live only here, so their texts are freed before the
-    caller reads the first cell and builds a record.
+    fixed. A command that reads grades names its all-questions row
+    "overall", so no question may; its grades are those of answered pairs.
+    The answers live only here, so their texts are freed before the caller
+    reads the first cell and builds a record.
     """
     essays = load_answers(args.answers)
     questions = load_model(args.model)
+    if "grades" in args and "overall" in (ids := [q.question_id for q in questions]):
+        where = _where(questions, ids.index("overall"))
+        raise EssayScoreError(f"{where}question_id 'overall' is reserved for the all-questions row")
     lexicons = load_lexicons(args.stopwords, args.normalization, _warn=_warn)
     grades = _answered_grades(args, essays) if "grades" in args else None
     return score_corpus(essays, questions, lexicons, cells=cells), grades

@@ -11,7 +11,8 @@ without reading the file again: a record names its line while it stays
 where it was loaded, and the file is named while the list is as loaded.
 The first fault in file order is reported, and reading stops there
 (within a row, a bad number is found before an empty key, and a repeated
-key last).
+key last). The two readers, ``_read_rows`` and ``_stopword_entries``,
+name the file and line of a faulty row, so no row check takes either.
 
 File formats:
 
@@ -140,8 +141,8 @@ def _where(records: Sequence, k: int | None = None) -> str:
     return ""
 
 
-def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], object]) -> _Rows:
-    """``make(row, line)`` for each data row of a CSV file, in file order, reading it once.
+def _read_rows(path: Path, header: list[str], make: Callable[[list[str]], object]) -> _Rows:
+    """``make(row)`` for each data row of a CSV file, in file order, reading it once.
 
     A row's line is the physical line it starts on, one past where the row
     before it ended, so a quoted field spanning lines shifts no later row.
@@ -149,9 +150,10 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], o
     the rows are never all held at once; its line and the record loaded are
     kept, 16 bytes a row.
     The first fault in file order is raised as soon as it is read, and
-    reading stops there: a CSV syntax error (naming the line its row starts
-    on), a wrong header, a row with the wrong field count, or an error
-    ``make`` raises.
+    reading stops there: a wrong header, naming the file, or else a CSV
+    syntax error, a row with the wrong field count, or an error ``make``
+    raises, each prefixed with ``"<file>: line N: "``, the line its row
+    starts on.
     """
     records = _Rows()
     records.path = path
@@ -161,45 +163,36 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str], int], o
         start = 1
         try:
             got = next(reader, None)
-            if got != header:
-                raise EssayScoreError(
-                    f"{path}: expected header {','.join(header)!r}, "
-                    f"got {','.join(got) if got is not None else '<empty file>'!r}"
-                )
-            start = reader.line_num + 1
-            for row in reader:
-                if len(row) != len(header):
-                    raise EssayScoreError(
-                        f"{path}: line {start}: expected {len(header)} fields, got {len(row)}"
-                    )
-                records.append(make(row, start))
-                records.lines.append(start)
+            if got == header:
                 start = reader.line_num + 1
-        except csv.Error as exc:
+                for row in reader:
+                    if len(row) != len(header):
+                        raise EssayScoreError(f"expected {len(header)} fields, got {len(row)}")
+                    records.append(make(row))
+                    records.lines.append(start)
+                    start = reader.line_num + 1
+        except (csv.Error, EssayScoreError) as exc:
             raise EssayScoreError(f"{path}: line {start}: {exc}") from exc
+    if got != header:
+        raise EssayScoreError(
+            f"{path}: expected header {','.join(header)!r}, "
+            f"got {','.join(got) if got is not None else '<empty file>'!r}"
+        )
     records.made = tuple(records)
     return records
 
 
-def _parse_number(text: str, path: Path, line: int, column: str) -> float:
-    """A finite, nonnegative number from one cell, or an error naming its line."""
+def _parse_number(text: str, column: str) -> float:
+    """A finite, nonnegative number from one cell of ``column``."""
     try:
         value = float(text)
     except ValueError as exc:
-        raise EssayScoreError(
-            f"{path}: line {line}: {column} {text!r} is not a number"
-        ) from exc
+        raise EssayScoreError(f"{column} {text!r} is not a number") from exc
     if not math.isfinite(value):
-        raise EssayScoreError(f"{path}: line {line}: {column} {text!r} is not finite")
+        raise EssayScoreError(f"{column} {text!r} is not finite")
     if value < 0:
-        raise EssayScoreError(f"{path}: line {line}: {column} {value} is negative")
+        raise EssayScoreError(f"{column} {value} is negative")
     return value
-
-
-def _check_key(key: tuple[str, ...], names: str, path: Path, line: int) -> None:
-    """No cell of a row's key is empty; ``names`` names the key columns in the message."""
-    if not all(key):
-        raise EssayScoreError(f"{path}: line {line}: empty {names}")
 
 
 def _check_column_sum(values: list[float], path: Path, column: str) -> None:
@@ -209,24 +202,25 @@ def _check_column_sum(values: list[float], path: Path, column: str) -> None:
 
 
 def _keyed_records(
-    path: Path, header: list[str], record: type, last: Callable[[str, int], object], kind: str
+    path: Path, header: list[str], record: type, last: Callable[[str], object], kind: str
 ) -> list:
     """Each data row of a file keyed by (student_id, question_id), as a ``record``.
 
-    ``last`` makes the record's last field from the row's last cell and its
-    line. Each id passes through a dict mapping it to its first instance, so
-    equal ids share one str.
+    ``last`` makes the record's last field from the row's last cell. Each id
+    passes through a dict mapping it to its first instance, so equal ids
+    share one str.
     """
     seen: set[tuple[str, str]] = set()
     first: dict[str, str] = {}
 
-    def make(row: list[str], line: int) -> tuple:
+    def make(row: list[str]) -> tuple:
         student_id, question_id, cell = row
-        value = last(cell, line)
+        value = last(cell)
         key = (first.setdefault(student_id, student_id), first.setdefault(question_id, question_id))
-        _check_key(key, "student_id or question_id", path, line)
+        if not all(key):
+            raise EssayScoreError("empty student_id or question_id")
         if key in seen:
-            raise EssayScoreError(f"{path}: line {line}: duplicate {kind} for {key}")
+            raise EssayScoreError(f"duplicate {kind} for {key}")
         seen.add(key)
         return record(*key, value)
 
@@ -239,7 +233,7 @@ def load_answers(path: str | Path) -> list[RawEssay]:
     Empty answer text is allowed (blank answers score zero downstream);
     empty identifiers and repeated (student_id, question_id) keys are not.
     """
-    return _keyed_records(Path(path), ANSWERS_HEADER, RawEssay, lambda text, _: text, "answer")
+    return _keyed_records(Path(path), ANSWERS_HEADER, RawEssay, lambda text: text, "answer")
 
 
 def load_model(path: str | Path) -> list[QuestionSpec]:
@@ -247,14 +241,15 @@ def load_model(path: str | Path) -> list[QuestionSpec]:
     path = Path(path)
     seen: set[str] = set()
 
-    def make(row: list[str], line: int) -> QuestionSpec:
+    def make(row: list[str]) -> QuestionSpec:
         question_id, model_answer, weight_text = row
-        weight = _parse_number(weight_text, path, line, "weight")
-        _check_key((question_id,), "question_id", path, line)
+        weight = _parse_number(weight_text, "weight")
+        if not question_id:
+            raise EssayScoreError("empty question_id")
         if not model_answer:
-            raise EssayScoreError(f"{path}: line {line}: empty model answer")
+            raise EssayScoreError("empty model answer")
         if question_id in seen:
-            raise EssayScoreError(f"{path}: line {line}: duplicate question {question_id!r}")
+            raise EssayScoreError(f"duplicate question {question_id!r}")
         seen.add(question_id)
         return QuestionSpec(question_id, model_answer, weight)
 
@@ -267,21 +262,16 @@ def load_grades(path: str | Path) -> list[HumanGrade]:
     """Load the teacher's per-question grades."""
     path = Path(path)
     grades = _keyed_records(
-        path,
-        GRADES_HEADER,
-        HumanGrade,
-        lambda text, line: _parse_number(text, path, line, "score"),
-        "grade",
+        path, GRADES_HEADER, HumanGrade, lambda text: _parse_number(text, "score"), "grade"
     )
     _check_column_sum([g.score for g in grades], path, "score")
     return grades
 
 
-def _check_single_token(entry: str, path: Path, line: int) -> str:
+def _check_single_token(entry: str) -> str:
+    """``entry`` case-folded, once it is checked to be a single whitespace-free token."""
     if not entry or any(ch.isspace() for ch in entry):
-        raise EssayScoreError(
-            f"{path}: line {line}: {entry!r} must be a single whitespace-free token"
-        )
+        raise EssayScoreError(f"{entry!r} must be a single whitespace-free token")
     return entry.lower()
 
 
@@ -301,39 +291,41 @@ def load_lexicons(
     """
     stopword_path = Path(stopword_path)
     normalization_path = Path(normalization_path)
-    # (line, entry as written, entry case-folded) of each stopword
-    stopwords = [
-        (line, entry, _check_single_token(entry, stopword_path, line))
-        for line, entry in _stopword_entries(stopword_path)
-    ]
-    dead_keys = []  # (line, key as written) of each slang key no token can equal
-
-    def slang(row: list[str], line: int) -> tuple[str, str]:
-        key, formal = (_check_single_token(cell, normalization_path, line) for cell in row)
-        if not _is_token(key):
-            dead_keys.append((line, row[0]))
-        return key, formal
-
-    mapping = dict(_read_rows(normalization_path, NORMALIZATION_HEADER, slang))
+    stopwords = list(_stopword_entries(stopword_path))
+    # (key as written, key case-folded, formal case-folded) of each slang row
+    rows = _read_rows(normalization_path, NORMALIZATION_HEADER,
+                      lambda row: (row[0], *map(_check_single_token, row)))
+    mapping = {key: formal for _, key, formal in rows}
     formals = set(mapping.values())
     dead = [
         (stopword_path, line, "stopword", entry)
         for line, entry, word in stopwords
         if word not in formals and not (_is_token(word) and mapping.get(word, word) == word)
-    ] + [(normalization_path, line, "slang", entry) for line, entry in dead_keys]
+    ] + [
+        (normalization_path, line, "slang", entry)
+        for line, (entry, key, _) in zip(rows.lines, rows)
+        if not _is_token(key)
+    ]
     for path, line, kind, entry in dead:
         _warn(f"{path}: line {line}: {kind} {entry!r} can never match: "
               "preprocessing never yields it")
     return Lexicons(stopwords=frozenset(word for _, _, word in stopwords), normalization=mapping)
 
 
-def _stopword_entries(path: Path) -> Iterator[tuple[int, str]]:
-    """(line, entry) for each line of a stopword file that is not blank or a comment."""
+def _stopword_entries(path: Path) -> Iterator[tuple[int, str, str]]:
+    """(line, entry, entry case-folded) of each stopword-file line not blank or a comment.
+
+    A bad entry raises an error naming its file and line.
+    """
     with _open_input(path) as fh:
         for i, line in enumerate(fh, start=1):
             entry = line.strip()
             if entry and not entry.startswith("#"):
-                yield i, entry
+                try:
+                    word = _check_single_token(entry)
+                except EssayScoreError as exc:
+                    raise EssayScoreError(f"{path}: line {i}: {exc}") from exc
+                yield i, entry, word
 
 
 def _is_token(entry: str) -> bool:

@@ -651,6 +651,55 @@ class TestFileBoundary:
         assert main([command, "--grades", str(grades), *args]) == 1
         assert calls == []
 
+    @staticmethod
+    def q2_renamed_overall(data_dir, tmp_path, command):
+        """CLI args with question q2 renamed "overall" in the answers, model and grades."""
+        args = cli_args(data_dir, tmp_path / "out", grades=command != "score")
+        for name, column in [("answers", 1), ("model", 0), ("grades", 1)]:
+            rows = read_rows(data_dir / f"{name}.csv")
+            for row in rows:
+                row[column] = "overall" if row[column] == "q2" else row[column]
+            write_csv(tmp_path / f"{name}.csv", rows[0], rows[1:])
+            if f"--{name}" in args:
+                args[args.index(f"--{name}") + 1] = str(tmp_path / f"{name}.csv")
+        return args
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_question_named_overall_exit_1_before_scoring(
+        self, data_dir, tmp_path, monkeypatch, capsys, command
+    ):
+        # the all-questions row of evaluation.csv and compare.csv is named "overall"
+        calls = []
+        original = cli.score_corpus
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "score_corpus", counting)
+        assert main([command, *self.q2_renamed_overall(data_dir, tmp_path, command)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {tmp_path / 'model.csv'}: line 3: "
+            "question_id 'overall' is reserved for the all-questions row\n"
+        )
+        assert captured.out == ""
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_score_accepts_a_question_named_overall(self, data_dir, tmp_path, capsys):
+        assert main(["score", *self.q2_renamed_overall(data_dir, tmp_path, "score")]) == 0
+        assert main(["score", *cli_args(data_dir, tmp_path / "plain")]) == 0
+        assert capsys.readouterr().err == ""
+        renamed = [
+            [sid, "q2" if qid == "overall" else qid, *rest]
+            for sid, qid, *rest in read_rows(tmp_path / "out" / "scores.csv")
+        ]
+        assert sorted(renamed) == sorted(read_rows(tmp_path / "plain" / "scores.csv"))
+        assert read_text(tmp_path / "out" / "totals.csv") == read_text(
+            tmp_path / "plain" / "totals.csv"
+        )
+
     @pytest.mark.parametrize(
         "name, row, names, command",
         [

@@ -358,14 +358,14 @@ class TestErrorRanking:
         p = write(tmp_path / "f.csv", text)
         calls = []
 
-        def make(row, line):
-            calls.append(line)
+        def make(row):
+            calls.append(row[0])
             return row
 
         with pytest.raises(EssayScoreError) as exc:
             _read_rows(p, ANSWERS_HEADER, make)
         assert str(exc.value) == f"{p}: line 3: expected 3 fields, got 2"
-        assert calls == [2]
+        assert calls == ["s1"]
 
 
 def load_stopwords(path):
@@ -654,7 +654,7 @@ class TestLineAfterMultiLineField:
     def test_normalization(self, tmp_path):
         np_ = write(tmp_path / "norm.csv", 'slang,formal\n"gak\ntau",tidak\nx,y,z\n')
         with pytest.raises(EssayScoreError) as exc:
-            _read_rows(np_, NORMALIZATION_HEADER, lambda row, line: line)
+            _read_rows(np_, NORMALIZATION_HEADER, lambda row: row)
         assert str(exc.value) == f"{np_}: line 4: expected 2 fields, got 3"
 
     def test_each_records_line_kept(self, tmp_path):

@@ -340,6 +340,28 @@ class TestScoreCorpus:
         # the data corpus repeats grams across answers, so sharing is tested
         assert repeats > 0
 
+    def test_equal_tokens_share_one_string_across_sizes(self, corpus, monkeypatch):
+        answers, questions, _, lexicons = corpus
+        question = questions[0]
+        answers = [a for a in answers if a.question_id == question.question_id]
+        read = []  # (n, tokens) of each extract_ngrams call
+        original = scoring.extract_ngrams
+
+        def capturing(tokens, n):
+            read.append((n, tokens))
+            return original(tokens, n)
+
+        monkeypatch.setattr(scoring, "extract_ngrams", capturing)
+        list(score_corpus(answers, [question], lexicons, cells=[("cosine", n) for n in (1, 2, 3)]))
+        # the model answer and each answer, at each size
+        assert [n for n, _ in read] == [n for n in (1, 2, 3) for _ in range(len(answers) + 1)]
+        first = {}
+        for _, tokens in read:
+            for token in tokens:
+                assert first.setdefault(token, token) is token
+        # the question's answers repeat tokens, so sharing is tested
+        assert sum(len(tokens) for n, tokens in read if n == 1) > len(first)
+
     def test_unanimous_corpus_collapses_to_zero(self):
         # When every answer equals the model answer, every term appears in
         # every document, all idf values are 0, and the all-empty vectors
