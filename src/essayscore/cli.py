@@ -50,9 +50,8 @@ def _scored(
     The files load as answers, model, lexicons, then grades. That order
     decides which error a run with several bad files reports, so it stays
     fixed. A command that reads grades names its all-questions row
-    "overall", so no question may; its grades are those of answered pairs.
-    The answers live only here, so their texts are freed before the caller
-    reads the first cell and builds a record.
+    "overall", so no question may. The answers live only here, so their
+    texts are freed before the caller reads the first cell and builds a record.
     """
     essays = load_answers(args.answers)
     questions = load_model(args.model)
@@ -60,7 +59,7 @@ def _scored(
         where = _where(questions, ids.index("overall"))
         raise EssayScoreError(f"{where}question_id 'overall' is reserved for the all-questions row")
     lexicons = load_lexicons(args.stopwords, args.normalization, _warn=_warn)
-    grades = _answered_grades(args, essays) if "grades" in args else None
+    grades = _checked_grades(args, essays) if "grades" in args else None
     return score_corpus(essays, questions, lexicons, cells=cells), grades
 
 
@@ -113,26 +112,24 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _answered_grades(args: argparse.Namespace, essays: Sequence[RawEssay]) -> list[HumanGrade]:
-    """Load the grades and keep the rows whose (student, question) was answered.
+def _checked_grades(args: argparse.Namespace, essays: Sequence[RawEssay]) -> list[HumanGrade]:
+    """Load the grades and check them against the answers, returning them as loaded.
 
-    Keeping none is an error naming the grades file; the rows dropped are
-    counted in one warning naming the file and the line of the first.
+    No row whose (student, question) was answered is an error naming the
+    grades file; the other rows, which ``build_report`` skips, are counted
+    in one warning naming the file and the line of the first.
     """
     grades = load_grades(args.grades)
     answered = {(e.student_id, e.question_id) for e in essays}
-    kept = [g for g in grades if (g.student_id, g.question_id) in answered]
-    if not kept:
+    unanswered = [k for k, g in enumerate(grades) if (g.student_id, g.question_id) not in answered]
+    if len(unanswered) == len(grades):
         raise EssayScoreError(f"{args.grades}: no grade row matches a scored answer")
-    if len(kept) < len(grades):
-        first = next(
-            k for k, g in enumerate(grades) if (g.student_id, g.question_id) not in answered
-        )
+    if unanswered:
         _warn(
-            f"{args.grades}: skipped {len(grades) - len(kept)} grade row(s) referencing "
-            f"unknown students or unanswered questions, the first on line {_line(grades, first)}"
+            f"{args.grades}: skipped {len(unanswered)} grade row(s) referencing unknown students "
+            f"or unanswered questions, the first on line {_line(grades, unanswered[0])}"
         )
-    return kept
+    return grades
 
 
 def _rmse_rows(report: EvaluationReport, metric: str, ngram: int) -> list[tuple[str, str, str, str]]:
@@ -201,21 +198,20 @@ def cmd_evaluate(args: argparse.Namespace) -> OutputFiles:
 # compare
 # ---------------------------------------------------------------------------
 
-def _print_grid(rows: list[tuple[str, str, str, str]]) -> None:
-    """Render the long-form rows as one metric x n-gram table per question."""
+def _grid(rows: list[tuple[str, str, str, str]]) -> str:
+    """The long-form rows as one metric x n-gram table per question, then each metric's minimum."""
     cells = {(qid, metric, ngram): value for qid, metric, ngram, value in rows}
     question_ids = sorted({qid for qid, _, _, _ in rows})
     ngram_labels = [str(n) for n in VALID_NGRAM_SIZES]
 
-    print("rmse by question (rows: metric, columns: n-gram size)")
+    lines = ["rmse by question (rows: metric, columns: n-gram size)"]
     for qid in question_ids:
-        print(f"\n{qid}")
-        print("  " + f"{'':<10}" + "".join(f"{'n=' + n:>12}" for n in ngram_labels))
+        lines += ["", qid, "  " + f"{'':<10}" + "".join(f"{'n=' + n:>12}" for n in ngram_labels)]
         for metric in METRIC_CHOICES:
             values = [cells[(qid, metric, n)] for n in ngram_labels]
-            print("  " + f"{metric:<10}" + "".join(f"{v:>12}" for v in values))
+            lines.append("  " + f"{metric:<10}" + "".join(f"{v:>12}" for v in values))
 
-    print("\nlowest rmse per metric (per-question cells):")
+    lines += ["", "lowest rmse per metric (per-question cells):"]
     for metric in METRIC_CHOICES:
         candidates = [
             (value, qid, ngram)
@@ -223,7 +219,8 @@ def _print_grid(rows: list[tuple[str, str, str, str]]) -> None:
             if m == metric and qid != "overall"
         ]
         value, qid, ngram = min(candidates, key=lambda c: (float(c[0]), c[1], c[2]))
-        print(f"  {metric:<10}{value}  (question {qid}, n={ngram})")
+        lines.append(f"  {metric:<10}{value}  (question {qid}, n={ngram})")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_compare(args: argparse.Namespace) -> OutputFiles:
@@ -298,8 +295,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: <stdout>: {os.strerror(errno.EBADF)}", file=sys.stderr)
             return 1
         try:
-            _print_grid(files["compare.csv"][1])
+            sys.stdout.write(_grid(files["compare.csv"][1]))
             sys.stdout.flush()
+        except UnicodeEncodeError as exc:  # raised before any byte of the table is buffered
+            print(f"error: <stdout>: {exc}", file=sys.stderr)
+            return 1
         except OSError as exc:
             # as the Python docs' note on SIGPIPE advises, stdout goes to
             # devnull so run()'s flush at exit cannot fail again

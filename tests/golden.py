@@ -38,10 +38,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+# this checkout's package, run from the checkout or with another copy installed
+sys.path.insert(0, str(ROOT / "src"))
+
 import essayscore
 from essayscore.cli import main as cli_main
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden.json")
 
 DATA_COMMANDS = [

@@ -8,6 +8,7 @@ import errno
 import io
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -796,6 +797,28 @@ class TestFileBoundary:
         assert result.returncode == 1
         assert result.stderr == f"error: <stdout>: {os.strerror(errno.ENOSPC)}\n"
         assert read_rows(tmp_path / "compare.csv")[0] == ["question_id", "metric", "ngram", "rmse"]
+
+    def test_stdout_that_cannot_encode_a_question_id_exits_1_writing_nothing(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        corpus = tmp_path / "data"
+        shutil.copytree(data_dir, corpus)
+        for name in ("answers.csv", "model.csv", "grades.csv"):
+            text = (corpus / name).read_text(encoding="utf-8")
+            (corpus / name).write_text(re.sub(r"\bq2\b", "q2é", text), encoding="utf-8")
+        assert main(["compare", *cli_args(corpus, tmp_path / "in", grades=True)]) == 0
+        table = capsys.readouterr().out
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        result = run_cli(
+            ["compare", *cli_args(corpus, tmp_path / "child", grades=True)], subprocess.PIPE
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1,
+            "",
+            "error: <stdout>: 'ascii' codec can't encode character '\\xe9' in position "
+            f"{table.index('é')}: ordinal not in range(128)\n",
+        )
+        assert tree(tmp_path / "child") == tree(tmp_path / "in")
 
 
 class TestHugeValues:

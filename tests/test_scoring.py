@@ -526,6 +526,20 @@ class TestParallel:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         assert scoring._usable_cpus() == cpus
 
+    def test_usable_cpus_without_an_affinity_mask(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scoring, "_CGROUP", tmp_path)  # no quota file
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert scoring._usable_cpus() == os.cpu_count()
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert scoring._usable_cpus() == 1
+
+    def test_without_fork_every_question_is_scored_here(self, corpus, workers, monkeypatch):
+        answers, questions, _, lexicons = corpus
+        monkeypatch.delattr(os, "fork")
+        workers.cpus(4)
+        assert scoring._worker_count(scoring._PARALLEL_MIN_CHARS, 9) == 1
+        self.both_ways(workers, 4, answers, questions, lexicons)
+
     def test_shares_take_the_longest_question_first(self):
         sizes = {"q1": 5, "q2": 9, "q3": 5, "q4": 1}
         assert scoring._shares(sizes, 2) == [["q2", "q4"], ["q1", "q3"]]
