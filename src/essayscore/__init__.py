@@ -21,7 +21,6 @@ from .evaluation import (
 )
 from .ingest import (
     HumanGrade,
-    Lexicons,
     QuestionSpec,
     RawEssay,
     load_answers,
@@ -31,6 +30,7 @@ from .ingest import (
 )
 from .ngrams import extract_ngrams
 from .preprocess import (
+    Lexicons,
     case_fold,
     clean_text,
     normalize_tokens,

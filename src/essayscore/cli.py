@@ -316,15 +316,15 @@ def run() -> None:
     The status is ``main()``'s, or argparse's ``SystemExit`` code. The
     ``atexit`` handlers run and stdout and stderr are flushed, in the
     interpreter's own order, then the process ends without freeing each
-    object. A failed flush, a non-int status or ``python -i`` (whose prompt
-    comes after the script) takes the interpreter's own exit, so what it
-    prints and its status stay as they were.
+    object. A failed flush or ``python -i`` (whose prompt comes after the
+    script) takes the interpreter's own exit, so what it prints and its
+    status stay as they were.
     """
     try:
         status = main()
     except SystemExit as exc:
         status = exc.code
-    if not isinstance(status, int) or sys.flags.inspect:
+    if sys.flags.inspect:
         sys.exit(status)
     atexit._run_exitfuncs()
     try:

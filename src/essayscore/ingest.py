@@ -1,8 +1,9 @@
 """Loaders for the five input files.
 
-All inputs are UTF-8 text. Tabular files are RFC-4180 CSV with a required
-header row; both LF and CRLF line endings are accepted. Loading is
-order-preserving and purely a function of file contents.
+All inputs are UTF-8 text, read from any path ``open()`` reads, a named
+pipe too. Tabular files are RFC-4180 CSV with a required header row; both
+LF and CRLF line endings are accepted. Loading is order-preserving and
+purely a function of file contents.
 
 Each input file is read once, and each data row becomes its record as
 soon as it is read, so no file's rows are held beside its records. Each
@@ -32,9 +33,9 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from pathlib import Path
-from types import MappingProxyType
 
 from .errors import EssayScoreError
+from .preprocess import Lexicons, _is_token
 
 ANSWERS_HEADER = ["student_id", "question_id", "answer_text"]
 MODEL_HEADER = ["question_id", "model_answer", "weight"]
@@ -60,23 +61,9 @@ class HumanGrade(namedtuple("HumanGrade", "student_id question_id score")):
     __slots__ = ()
 
 
-class Lexicons(
-    namedtuple("Lexicons", "stopwords normalization", defaults=(frozenset(), MappingProxyType({})))
-):
-    """Stopword set and slang-to-formal normalization map, all lowercase.
-
-    The normalization map is applied once per token (no chaining), so a
-    cycle among entries is harmless.
-    """
-
-    __slots__ = ()
-
-
 @contextmanager
 def _open_input(path: Path):
-    """Open an input file as UTF-8 text; a fault reading it raises an error naming it."""
-    if not path.is_file():
-        raise EssayScoreError(f"input file not found: {path}")
+    """Open what ``open()`` can, a pipe too, as UTF-8 text; a fault raises ``"<file>: <reason>"``."""
     # the csv module's default limit of 131,072 characters per field would
     # reject a long but legal essay (2**31 - 1 is the largest C long on every
     # platform); the limit is process-wide, so the caller's is restored
@@ -96,10 +83,12 @@ def _first_non_utf8(path: Path, exc: UnicodeDecodeError) -> str:
     """The file's first byte that does not decode as UTF-8, and the line it is on.
 
     ``exc``, the text reader's error, counts its position from the start of
-    the chunk it was decoding, so the whole file is decoded again; lines end
-    at LF, CR or CRLF, as for the readers. A file that now decodes is
-    described by ``exc``.
+    the chunk it was decoding, so a regular file is decoded again whole;
+    lines end at LF, CR or CRLF, as for the readers. A file that now decodes
+    is described by ``exc``, and a pipe, which cannot be read again, by its byte.
     """
+    if not path.is_file():
+        return f"byte {exc.object[exc.start]:#04x}"
     data = path.read_bytes()
     try:
         data.decode("utf-8")
@@ -192,7 +181,7 @@ def _parse_number(text: str, column: str) -> float:
         raise EssayScoreError(f"{column} {text!r} is not finite")
     if value < 0:
         raise EssayScoreError(f"{column} {value} is negative")
-    return value
+    return abs(value)  # "-0" passes the check above; it loads as 0.0
 
 
 def _check_column_sum(values: list[float], path: Path, column: str) -> None:
@@ -326,12 +315,3 @@ def _stopword_entries(path: Path) -> Iterator[tuple[int, str, str]]:
                 except EssayScoreError as exc:
                     raise EssayScoreError(f"{path}: line {i}: {exc}") from exc
                 yield i, entry, word
-
-
-def _is_token(entry: str) -> bool:
-    """Whether preprocessing can make the token ``entry``, a case-folded lexicon entry.
-
-    Cleaning keeps only letters, and lowercasing a letter gives letters, but
-    for "İ" (U+0130), whose lowercase "i̇" ends in a combining dot.
-    """
-    return entry.replace("i\u0307", "i").isalpha()

@@ -14,8 +14,8 @@ VALID_NGRAM_SIZES = (1, 2, 3)
 
 
 def _check_ngram_size(n: int) -> None:
-    """Reject an n-gram size outside VALID_NGRAM_SIZES."""
-    if n not in VALID_NGRAM_SIZES:
+    """Reject an n-gram size outside VALID_NGRAM_SIZES, or one ``range`` refuses, as 2.0 is."""
+    if not hasattr(type(n), "__index__") or n not in VALID_NGRAM_SIZES:
         raise EssayScoreError(f"n-gram size must be one of {VALID_NGRAM_SIZES}, got {n!r}")
 
 

@@ -4,12 +4,26 @@ The pipeline runs five stages in a fixed order: clean, case-fold,
 tokenize, normalize slang/typos, remove stopwords. Each stage is a pure
 function, exposed individually so they can be tested and demonstrated in
 isolation. A token sequence is a plain list of lowercase tokens in text
-order.
+order. The module owns what a token can be: ``_is_token`` tells the
+loaders which ``Lexicons`` entries no token can equal.
 """
 
 from __future__ import annotations
 
-from .ingest import Lexicons
+from collections import namedtuple
+from types import MappingProxyType
+
+
+class Lexicons(
+    namedtuple("Lexicons", "stopwords normalization", defaults=(frozenset(), MappingProxyType({})))
+):
+    """Stopword set and slang-to-formal normalization map, all lowercase.
+
+    The normalization map is applied once per token (no chaining), so a
+    cycle among entries is harmless.
+    """
+
+    __slots__ = ()
 
 
 class _LetterTable(dict):
@@ -66,13 +80,18 @@ def remove_stopwords(tokens: list[str], lexicons: Lexicons) -> list[str]:
 
 
 def preprocess_pipeline(raw: str, lexicons: Lexicons) -> list[str]:
-    """Run the full five-stage pipeline on raw text.
-
-    Cleaning happens before case folding, so in the rare case where
-    lowercasing expands a character into letter-plus-combining-mark the
-    mark survives; for alphabetic scripts this does not arise.
-    """
+    """Run the full five-stage pipeline on raw text; ``_is_token`` says what tokens it makes."""
     return remove_stopwords(
         normalize_tokens(tokenize(case_fold(clean_text(raw))), lexicons),
         lexicons,
     )
+
+
+def _is_token(entry: str) -> bool:
+    """Whether the pipeline can make the token ``entry``, a case-folded lexicon entry.
+
+    Cleaning keeps only letters and comes before case folding, and
+    lowercasing a letter gives letters, but for "İ" (U+0130), whose
+    lowercase "i̇" ends in a combining dot that survives.
+    """
+    return entry.replace("i\u0307", "i").isalpha()

@@ -56,9 +56,9 @@ from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import EssayScoreError
-from .ingest import Lexicons, QuestionSpec, RawEssay, _where
+from .ingest import QuestionSpec, RawEssay, _where
 from .ngrams import _check_ngram_size, extract_ngrams
-from .preprocess import preprocess_pipeline
+from .preprocess import Lexicons, preprocess_pipeline
 from .similarity import SIMILARITY_METRICS, _prepare_query
 from .vsm import _check_log_base, fit_vocabulary, transform
 

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import weakref
 from functools import partial
 from pathlib import Path
@@ -61,6 +62,26 @@ def run_cli(args, stdout, *, entry=("-m", "essayscore.cli"), **options):
         timeout=120,
         **{"text": True, **options},
     )
+
+
+@contextlib.contextmanager
+def fed_fifo(path, data):
+    """A named pipe at ``path`` that a thread fills with ``data`` once a reader opens it."""
+    os.mkfifo(path)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        if writer.is_alive():  # no reader opened it, so let the writer's open return
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 def oracle_outputs(data_dir, metric, ngram):
@@ -121,6 +142,18 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "absent.csv" in err
+
+    def test_negative_zero_weight_prints_as_zero_points(self, data_dir, tmp_path):
+        model = tmp_path / "model.csv"
+        rows = read_rows(data_dir / "model.csv")
+        assert rows[1][0] == "q1"
+        rows[1][2] = "-0"
+        write_csv(model, rows[0], rows[1:])
+        args = cli_args(data_dir, tmp_path / "out")
+        args[args.index("--model") + 1] = str(model)
+        assert main(["score", *args]) == 0
+        scores = read_rows(tmp_path / "out" / "scores.csv")[1:]
+        assert {points for _, qid, _, points in scores if qid == "q1"} == {"0.00"}
 
     def test_ngram_4_exits_2_with_usage(self, data_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -550,6 +583,46 @@ class TestFileBoundary:
         assert capsys.readouterr().err == f"error: {answers}: {os.strerror(errno.EIO)}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option", ["--answers", "--model", "--grades", "--stopwords",
+                                        "--normalization"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unopenable_input_is_one_strerror_line_without_creating_out(
+        self, data_dir, tmp_path, capsys, option, kind
+    ):
+        args = cli_args(data_dir, tmp_path / "out", grades=True)
+        bad = tmp_path / "absent.csv" if kind == "missing" else data_dir
+        args[args.index(option) + 1] = str(bad)
+        assert main(["evaluate", *args]) == 1
+        reason = os.strerror(errno.ENOENT if kind == "missing" else errno.EISDIR)
+        assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("command", ["score", "evaluate", "compare"])
+    def test_answers_from_a_named_pipe_match_the_file(self, data_dir, tmp_path, capsys, command):
+        grades = command != "score"
+        assert main([command, *cli_args(data_dir, tmp_path / "file", grades=grades)]) == 0
+        from_file = capsys.readouterr()
+        args = cli_args(data_dir, tmp_path / "pipe", grades=grades)
+        data = (data_dir / "answers.csv").read_bytes()
+        with fed_fifo(tmp_path / "answers.fifo", data) as fifo:
+            args[args.index("--answers") + 1] = str(fifo)
+            assert main([command, *args]) == 0
+        assert capsys.readouterr() == from_file
+        assert tree(tmp_path / "pipe") == tree(tmp_path / "file")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_non_utf8_from_a_named_pipe_is_one_line_without_hanging(self, data_dir, tmp_path):
+        # the pipe cannot be read again to find the line, so only the byte is named
+        data = b"student_id,question_id,answer_text\ns1,q1,caf\xe9\n"
+        args = cli_args(data_dir, tmp_path / "out")
+        with fed_fifo(tmp_path / "answers.fifo", data) as fifo:
+            args[args.index("--answers") + 1] = str(fifo)
+            result = run_cli(["score", *args], subprocess.PIPE)  # run_cli times out
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"error: {fifo}: not valid UTF-8 (byte 0xe9)\n"
+        assert not (tmp_path / "out").exists()
+
     def test_failed_scoring_child_exit_1_without_creating_out(
         self, data_dir, tmp_path, monkeypatch, capfd, workers
     ):
@@ -592,7 +665,9 @@ class TestFileBoundary:
             # a bad grades file is still reported first
             args[args.index("--grades") + 1] = str(tmp_path / "missing.csv")
             assert main([command, *args]) == 1
-            assert capsys.readouterr().err.startswith("error: input file not found: ")
+            assert capsys.readouterr().err == (
+                f"error: {tmp_path / 'missing.csv'}: {os.strerror(errno.ENOENT)}\n"
+            )
 
     def test_unmatchable_lexicon_entries_warned_once_each(self, data_dir, tmp_path, capsys):
         assert main(["score", *cli_args(data_dir, tmp_path / "plain")]) == 0

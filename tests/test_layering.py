@@ -1,4 +1,7 @@
-"""The n-gram, vector-space and similarity stages depend on no other stage."""
+"""The n-gram, vector-space and similarity stages depend on no other stage.
+
+Preprocessing, which owns what a token can be, imports no package module.
+"""
 
 import ast
 from pathlib import Path
@@ -30,6 +33,10 @@ def test_stage_imports_at_most_errors(name):
 
 def test_similarity_imports_no_package_module():
     assert package_imports("similarity") == set()
+
+
+def test_preprocess_imports_no_package_module():
+    assert package_imports("preprocess") == set()
 
 
 def test_scoring_imports_are_found():

@@ -1,5 +1,6 @@
 """N-gram extraction: the four-token reference case and the count law."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,10 +32,14 @@ def test_sequence_shorter_than_n():
     assert extract_ngrams(["solo"], 3) == []
 
 
-@pytest.mark.parametrize("n", [0, 4, -1, 100])
+@pytest.mark.parametrize("n", [0, 4, -1, 100, 3.0])
 def test_invalid_n(n):
     with pytest.raises(EssayScoreError, match="n-gram size must be one of"):
         extract_ngrams(["a", "b"], n)
+
+
+def test_numpy_integer_n():
+    assert extract_ngrams(FOUR, np.int64(3)) == extract_ngrams(FOUR, 3)
 
 
 @given(tokens_strategy, st.sampled_from([1, 2, 3]))

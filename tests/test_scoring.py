@@ -227,8 +227,10 @@ class TestScoreCorpus:
                 r"metric must be one of \('cosine', 'jaccard'\), got 'dice'",
             ),
             ({"cells": [("cosine", 1), ("jaccard", 4)]}, r"n-gram size must be one of \(1, 2, 3\), got 4"),
+            ({"n": 2.0}, r"n-gram size must be one of \(1, 2, 3\), got 2\.0"),
+            ({"cells": [("cosine", 2.0)]}, r"n-gram size must be one of \(1, 2, 3\), got 2\.0"),
         ],
-        ids=["metric", "n", "cell-metric", "cell-n"],
+        ids=["metric", "n", "cell-metric", "cell-n", "n-float", "cell-n-float"],
     )
     def test_bad_metric_or_n_rejected(self, answers, config, message, monkeypatch):
         calls = []
