@@ -17,8 +17,6 @@ for bad input data or an unwritable output (stdout included), 2 for bad
 usage.
 """
 
-from __future__ import annotations
-
 import argparse
 import atexit
 import csv

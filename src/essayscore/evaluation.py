@@ -17,8 +17,6 @@ iteration cap, 1e-12 convergence) so the package needs no statistics
 library.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Sequence

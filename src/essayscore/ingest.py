@@ -24,8 +24,6 @@ File formats:
 * ``normalization.csv`` header ``slang,formal``
 """
 
-from __future__ import annotations
-
 import csv
 import math
 from array import array
@@ -135,9 +133,10 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str]], object
 
     A row's line is the physical line it starts on, one past where the row
     before it ended, so a quoted field spanning lines shifts no later row.
-    Each row gives way to what ``make`` returns as soon as it is read, so
-    the rows are never all held at once; its line and the record loaded are
-    kept, 16 bytes a row.
+    A blank line after the header is no row, and is skipped. Each row gives
+    way to what ``make`` returns as soon as it is read, so the rows are
+    never all held at once; its line and the record loaded are kept, 16
+    bytes a row.
     The first fault in file order is raised as soon as it is read, and
     reading stops there: a wrong header, naming the file, or else a CSV
     syntax error, a row with the wrong field count, or an error ``make``
@@ -155,6 +154,9 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str]], object
             if got == header:
                 start = reader.line_num + 1
                 for row in reader:
+                    if not row:  # a blank line holds no row
+                        start = reader.line_num + 1
+                        continue
                     if len(row) != len(header):
                         raise EssayScoreError(f"expected {len(header)} fields, got {len(row)}")
                     records.append(make(row))

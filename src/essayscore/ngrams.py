@@ -6,8 +6,6 @@ is n consecutive tokens joined by a single space. Only n in {1, 2, 3}
 are added, so a sequence shorter than n yields no grams at all.
 """
 
-from __future__ import annotations
-
 from .errors import EssayScoreError
 
 VALID_NGRAM_SIZES = (1, 2, 3)

@@ -8,8 +8,6 @@ order. The module owns what a token can be: ``_is_token`` tells the
 loaders which ``Lexicons`` entries no token can equal.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from types import MappingProxyType
 

@@ -43,8 +43,6 @@ milliseconds, while a fresh interpreter would re-import the package and
 receive every answer pickled.
 """
 
-from __future__ import annotations
-
 import math
 import mmap
 import os

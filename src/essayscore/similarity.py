@@ -23,8 +23,6 @@ carries that vector's norm. Cosine takes a prepared query's norm and a
 scale of 1 instead of scaling it again, which gives the same bits.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Callable
 

@@ -19,8 +19,6 @@ strictly positive, so terms appearing in every document (idf 0) and terms
 missing from a document are structurally absent.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter, namedtuple
 

@@ -24,8 +24,6 @@ run and file, and the exit status is 1 if any differs. ``--write`` stores
 the outcomes in that file instead, keeping the other seed's entries.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import hashlib

@@ -1057,6 +1057,28 @@ class TestDeterminism:
         assert len(runs[0][1]) == 6
         assert runs[0] == runs[1]
 
+    def test_blank_csv_lines_change_nothing(self, data_dir, tmp_path, capsys):
+        # a blank line inside answers.csv, and at the end of every CSV file
+        blank = tmp_path / "blank"
+        shutil.copytree(data_dir, blank)
+        header, first, rest = (blank / "answers.csv").read_bytes().split(b"\n", 2)
+        (blank / "answers.csv").write_bytes(b"\n".join([header, first, b"", rest]))
+        for path in blank.glob("*.csv"):
+            path.write_bytes(path.read_bytes() + b"\n")
+        runs = []
+        for corpus in (data_dir, blank):
+            root = tmp_path / f"out-{corpus.name}"
+            streams = {}
+            for command in ("score", "evaluate", "compare"):
+                args = cli_args(corpus, root / command, grades=command != "score")
+                status = main([command, *args])
+                out, err = capsys.readouterr()
+                streams[command] = (status, out, err.replace(str(corpus), "<corpus>"))
+            files = {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*.csv"))}
+            runs.append((streams, files))
+        assert len(runs[0][1]) == 6
+        assert runs[0] == runs[1]
+
 
 def keep_first_row(path):
     """Cut a CSV file to its header and first data row."""

@@ -405,6 +405,11 @@ GRADES = "student_id,question_id,score\n"
         (load_grades, GRADES + "s1,q1,5\ns1,q1,6\n", 3, "duplicate grade for ('s1', 'q1')"),
         (load_model, MODEL + "q1,x,1\nq1,y,2\n", 3, "duplicate question 'q1'"),
         (load_answers, ANSWERS + "s1,q1,a\ns2,q1\n", 3, "expected 3 fields, got 2"),
+        (load_answers, ANSWERS + "s1,q1,a\n\n\ns2,q1\n", 5, "expected 3 fields, got 2"),
+        # a blank line is no row, but one of spaces, commas or an empty quoted field is
+        (load_answers, ANSWERS + "s1,q1,a\n   \n", 3, "expected 3 fields, got 1"),
+        (load_answers, ANSWERS + 's1,q1,a\n""\n', 3, "expected 3 fields, got 1"),
+        (load_answers, ANSWERS + "s1,q1,a\n,,\n", 3, "empty student_id or question_id"),
         (load_answers, ANSWERS + 's1,q1,"bad"x\n', 2, "',' expected after '\"'"),
         (
             load_normalization, 'slang,formal\ngak,tidak\n"gak tau",tidak\n', 3,
@@ -417,7 +422,8 @@ GRADES = "student_id,question_id,score\n"
         "not-a-number-weight", "not-a-number-score", "not-finite-score", "not-finite-weight",
         "negative-weight", "negative-score", "empty-key-answers", "empty-key-grades",
         "empty-key-model", "empty-model-answer", "duplicate-answer", "duplicate-grade",
-        "duplicate-question", "field-count", "csv-syntax", "slang-token", "formal-token",
+        "duplicate-question", "field-count", "field-count-after-blank-lines", "spaces-row",
+        "empty-quoted-field-row", "commas-row", "csv-syntax", "slang-token", "formal-token",
         "stopword-token",
     ],
 )
@@ -427,6 +433,37 @@ def test_row_fault_message_exact(tmp_path, loader, text, line, fault):
     with pytest.raises(EssayScoreError) as exc:
         loader(p)
     assert str(exc.value) == f"{p}: line {line}: {fault}"
+
+
+class TestBlankLines:
+    """A blank line after the header holds no row: it is skipped, and moves no later row's line."""
+
+    @pytest.mark.parametrize(
+        "loader, text",
+        [
+            (load_answers, ANSWERS + "s1,q1,a\n\ns2,q1,b\n\n"),
+            (load_model, MODEL + "q1,x,1\n\nq2,y,2\n\n"),
+            (load_grades, GRADES + "s1,q1,5\n\ns2,q1,6\n\n"),
+            (load_normalization, "slang,formal\ngak,tidak\n\ntdk,tidak\n\n"),
+        ],
+        ids=["answers", "model", "grades", "normalization"],
+    )
+    def test_loads_as_without_them(self, tmp_path, loader, text):
+        with_blanks = loader(write(tmp_path / "blank.csv", text))
+        assert with_blanks == loader(write(tmp_path / "plain.csv", text.replace("\n\n", "\n")))
+
+    def test_later_rows_keep_their_lines(self, tmp_path):
+        p = write(tmp_path / "f.csv", ANSWERS + "\ns1,q1,a\r\n\r\n\ns2,q1,b\n\n")
+        records = load_answers(p)
+        assert records == [RawEssay("s1", "q1", "a"), RawEssay("s2", "q1", "b")]
+        assert list(records.lines) == [3, 6]
+        assert _where(records, 1) == f"{p}: line 6: "
+
+    def test_a_blank_first_line_is_a_header_error(self, tmp_path):
+        p = write(tmp_path / "f.csv", "\n" + ANSWERS + "s1,q1,a\n")
+        with pytest.raises(EssayScoreError) as exc:
+            load_answers(p)
+        assert str(exc.value) == f"{p}: expected header 'student_id,question_id,answer_text', got ''"
 
 
 class TestLoadLexicons:

@@ -1,6 +1,7 @@
 """The n-gram, vector-space and similarity stages depend on no other stage.
 
-Preprocessing, which owns what a token can be, imports no package module.
+Preprocessing, which owns what a token can be, imports no package module,
+and no module imports from ``__future__``.
 """
 
 import ast
@@ -24,6 +25,17 @@ def package_imports(name):
             names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
             found.update(n.removeprefix("essayscore.") for n in names if n.split(".")[0] == "essayscore")
     return found
+
+
+def test_no_module_imports_from_future():
+    # Python 3.11 is the floor, so annotations are evaluated where they are written
+    futures = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+    ]
+    assert futures == []
 
 
 @pytest.mark.parametrize("name", ["ngrams", "vsm", "similarity"])
