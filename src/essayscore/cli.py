@@ -110,6 +110,11 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def _checked_grades(args: argparse.Namespace, essays: Sequence[RawEssay]) -> list[HumanGrade]:
     """Load the grades and check them against the answers, returning them as loaded.
 
@@ -280,31 +285,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         files = args.handler(args)
     except EssayScoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(str(exc))
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         _write_outputs(args.out, files)
     except OSError as exc:  # os.replace names its target second
-        print(f"error: {exc.filename2 or exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
-        return 1
+        return _error(f"{exc.filename2 or exc.filename or args.out}: {exc.strerror}")
     if args.command == "compare":
         if sys.stdout is None:  # fd 1 was closed at start-up
-            print(f"error: <stdout>: {os.strerror(errno.EBADF)}", file=sys.stderr)
-            return 1
+            return _error(f"<stdout>: {os.strerror(errno.EBADF)}")
         try:
             sys.stdout.write(_grid(files["compare.csv"][1]))
             sys.stdout.flush()
         except UnicodeEncodeError as exc:  # raised before any byte of the table is buffered
-            print(f"error: <stdout>: {exc}", file=sys.stderr)
-            return 1
+            return _error(f"<stdout>: {exc}")
         except OSError as exc:
             # as the Python docs' note on SIGPIPE advises, stdout goes to
             # devnull so run()'s flush at exit cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            if exc.errno != errno.EPIPE:  # a reader that left wants no message
-                print(f"error: <stdout>: {exc.strerror}", file=sys.stderr)
-            return 1
+            # a reader that left wants no message
+            return 1 if exc.errno == errno.EPIPE else _error(f"<stdout>: {exc.strerror}")
     return 0
 
 

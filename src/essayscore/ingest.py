@@ -154,13 +154,11 @@ def _read_rows(path: Path, header: list[str], make: Callable[[list[str]], object
             if got == header:
                 start = reader.line_num + 1
                 for row in reader:
-                    if not row:  # a blank line holds no row
-                        start = reader.line_num + 1
-                        continue
-                    if len(row) != len(header):
-                        raise EssayScoreError(f"expected {len(header)} fields, got {len(row)}")
-                    records.append(make(row))
-                    records.lines.append(start)
+                    if row:  # a blank line holds no row
+                        if len(row) != len(header):
+                            raise EssayScoreError(f"expected {len(header)} fields, got {len(row)}")
+                        records.append(make(row))
+                        records.lines.append(start)
                     start = reader.line_num + 1
         except (csv.Error, EssayScoreError) as exc:
             raise EssayScoreError(f"{path}: line {start}: {exc}") from exc

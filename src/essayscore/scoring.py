@@ -203,7 +203,6 @@ def _score_question(
         # every size reads the tokens, so equal tokens share one str
         first: dict[str, str] = {}
         token_lists = [list(map(first.setdefault, tokens, tokens)) for tokens in token_lists]
-        del first
     for size, scorers in by_size.items():
         # each gram maps to its first instance, so equal grams share one str;
         # the fit counts into this table, which lives on as vocab.idf
@@ -213,7 +212,6 @@ def _score_question(
             for grams in map(extract_ngrams, token_lists, repeat(size))
         ]
         vocab = fit_vocabulary(docs, log_base=log_base, _terms=first)
-        del first
         # the model vector is scaled and normed once, not once per answer
         q_vec = _prepare_query(transform(docs[0], vocab))
         for i, grams in zip(ids, docs[1:]):
@@ -243,21 +241,19 @@ def _cpu_quota() -> float | None:
 
     cgroup v2 keeps "quota period" in cpu.max, with quota "max" for none; v1
     keeps the quota in cpu/cpu.cfs_quota_us, -1 for none, and the period in
-    cpu/cpu.cfs_period_us.
+    cpu/cpu.cfs_period_us. The first version whose files read is parsed, and
+    text that is not two integers gives None.
     """
-    try:
-        quota, period = (_CGROUP / "cpu.max").read_text().split()
-    except (OSError, ValueError):
+    for names in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
         try:
-            quota = (_CGROUP / "cpu" / "cpu.cfs_quota_us").read_text()
-            period = (_CGROUP / "cpu" / "cpu.cfs_period_us").read_text()
-        except OSError:
+            text = " ".join((_CGROUP / name).read_text() for name in names)
+            quota, period = map(int, text.split())
+        except OSError:  # not this cgroup version's files
+            continue
+        except ValueError:
             return None
-    try:
-        quota, period = int(quota), int(period)
-    except ValueError:
-        return None
-    return quota / period if quota > 0 and period > 0 else None
+        return quota / period if quota > 0 and period > 0 else None
+    return None
 
 
 def _worker_count(text_chars: int, questions: int) -> int:

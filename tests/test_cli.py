@@ -1013,6 +1013,31 @@ class TestDegenerateCorpora:
                     assert not out.exists()
 
 
+# legal ways to write one CSV file, each read as the file itself
+LEGAL_ENCODINGS = [
+    "lf", "crlf", "cr", "quote-all", "bom", "no-final-newline", "blank-lines", "crlf-blank-lines",
+]
+
+
+def re_encode(rows, encoding):
+    """CSV ``rows`` as the bytes of a file in one of the ``LEGAL_ENCODINGS``.
+
+    The blank-line forms put a blank line after the first data row and at the end.
+    """
+    end = "\r\n" if encoding.startswith("crlf") else "\r" if encoding == "cr" else "\n"
+    quoting = csv.QUOTE_ALL if encoding == "quote-all" else csv.QUOTE_MINIMAL
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=end, quoting=quoting)
+    for k, row in enumerate(rows):
+        writer.writerow(row)
+        if encoding.endswith("blank-lines") and k in (1, len(rows) - 1):
+            out.write(end)
+    text = out.getvalue()
+    if encoding == "no-final-newline":
+        text = text.removesuffix(end)
+    return (("\ufeff" if encoding == "bom" else "") + text).encode("utf-8")
+
+
 class TestDeterminism:
     def test_two_full_runs_are_byte_identical(self, data_dir, tmp_path):
         trees = []
@@ -1057,16 +1082,15 @@ class TestDeterminism:
         assert len(runs[0][1]) == 6
         assert runs[0] == runs[1]
 
-    def test_blank_csv_lines_change_nothing(self, data_dir, tmp_path, capsys):
-        # a blank line inside answers.csv, and at the end of every CSV file
-        blank = tmp_path / "blank"
-        shutil.copytree(data_dir, blank)
-        header, first, rest = (blank / "answers.csv").read_bytes().split(b"\n", 2)
-        (blank / "answers.csv").write_bytes(b"\n".join([header, first, b"", rest]))
-        for path in blank.glob("*.csv"):
-            path.write_bytes(path.read_bytes() + b"\n")
+    @pytest.mark.parametrize("encoding", LEGAL_ENCODINGS)
+    def test_legal_re_encodings_change_nothing(self, data_dir, tmp_path, capsys, encoding):
+        # every CSV file rewritten in one legal form; the stopword file as it is
+        encoded = tmp_path / "encoded"
+        shutil.copytree(data_dir, encoded)
+        for path in encoded.glob("*.csv"):
+            path.write_bytes(re_encode(read_rows(path), encoding))
         runs = []
-        for corpus in (data_dir, blank):
+        for corpus in (data_dir, encoded):
             root = tmp_path / f"out-{corpus.name}"
             streams = {}
             for command in ("score", "evaluate", "compare"):

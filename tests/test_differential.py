@@ -223,6 +223,27 @@ def test_parallel_scoring_gives_the_same_bits(tmp_path, workers, seed):
     assert (workers.forks > 0) == (not isinstance(sequential, str))
 
 
+def test_row_order_changes_no_record(tmp_path):
+    """Shuffled answer and model rows give each (student, question) its record, bit for bit."""
+
+    def records_by_key(answers, questions, lexicons):
+        return [
+            {(r.student_id, r.question_id): (r.similarity.hex(), r.points.hex()) for r in cell}
+            for cell in score_corpus(answers, questions, lexicons, cells=CELLS)
+        ]
+
+    for seed in SEEDS:
+        paths = make_corpus(seed, tmp_path, allow_tokenless=False)
+        answers = load_answers(paths["answers"])
+        questions = load_model(paths["model"])
+        lexicons = load_lexicons(paths["stopwords"], paths["normalization"])
+        expected = records_by_key(answers, questions, lexicons)
+        rng = random.Random(seed)
+        for _ in range(3):
+            shuffled = rng.sample(answers, len(answers)), rng.sample(questions, len(questions))
+            assert records_by_key(*shuffled, lexicons) == expected, seed
+
+
 def test_the_seeds_reach_every_case(tmp_path):
     """The fixed seeds include every case the generator is there to produce."""
     seen = set()

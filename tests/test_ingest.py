@@ -411,6 +411,7 @@ GRADES = "student_id,question_id,score\n"
         (load_answers, ANSWERS + 's1,q1,a\n""\n', 3, "expected 3 fields, got 1"),
         (load_answers, ANSWERS + "s1,q1,a\n,,\n", 3, "empty student_id or question_id"),
         (load_answers, ANSWERS + 's1,q1,"bad"x\n', 2, "',' expected after '\"'"),
+        (load_answers, 'student_id,question_id,"answer_text\n', 1, "unexpected end of data"),
         (
             load_normalization, 'slang,formal\ngak,tidak\n"gak tau",tidak\n', 3,
             "'gak tau' must be a single whitespace-free token",
@@ -423,8 +424,8 @@ GRADES = "student_id,question_id,score\n"
         "negative-weight", "negative-score", "empty-key-answers", "empty-key-grades",
         "empty-key-model", "empty-model-answer", "duplicate-answer", "duplicate-grade",
         "duplicate-question", "field-count", "field-count-after-blank-lines", "spaces-row",
-        "empty-quoted-field-row", "commas-row", "csv-syntax", "slang-token", "formal-token",
-        "stopword-token",
+        "empty-quoted-field-row", "commas-row", "csv-syntax", "csv-syntax-in-header",
+        "slang-token", "formal-token", "stopword-token",
     ],
 )
 def test_row_fault_message_exact(tmp_path, loader, text, line, fault):
@@ -568,9 +569,11 @@ class TestNonUtf8Position:
     def test_lines_end_as_the_reader_ends_them(self, tmp_path, newline):
         p = tmp_path / "stop.txt"
         p.write_bytes(newline.join([b"yang", b"dan", b"caf\xe9", b"di"]))
-        with pytest.raises(EssayScoreError) as exc:
-            load_lexicons(p, write(tmp_path / "norm.csv", "slang,formal\n"))
-        assert str(exc.value) == f"{p}: not valid UTF-8 (byte 0xe9 on line 3)"
+        normalization = write(tmp_path / "norm.csv", "slang,formal\n")
+        for path in (p, str(p)):  # a loader takes either
+            with pytest.raises(EssayScoreError) as exc:
+                load_lexicons(path, normalization)
+            assert str(exc.value) == f"{p}: not valid UTF-8 (byte 0xe9 on line 3)"
 
     def test_a_file_that_now_decodes_is_described_by_the_readers_error(self, tmp_path, monkeypatch):
         p = tmp_path / "a.csv"

@@ -1,6 +1,7 @@
 """Scoring tests: per-question records, aggregation, and reproducibility."""
 
 import errno
+import faulthandler
 import gc
 import math
 import os
@@ -9,7 +10,9 @@ import signal
 import string
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -424,6 +427,8 @@ class TestParallel:
         def failing(*args):
             if (os.getpid() == parent) == (where == "parent"):
                 raise RuntimeError("planted fault")
+            if where == "parent":
+                time.sleep(60)  # a child still scoring is killed, not waited for
             return original(*args)
 
         monkeypatch.setattr(scoring, "_score_question", failing)
@@ -434,9 +439,27 @@ class TestParallel:
             # the child reports its own traceback
             assert "RuntimeError: planted fault" in capfd.readouterr().err
         else:
+            started = time.monotonic()
             with pytest.raises(RuntimeError, match="planted fault"):
                 score_corpus(answers, questions, lexicons)
+            assert time.monotonic() - started < 20
         assert workers.forks == 1
+
+    def test_a_native_thread_gives_no_fork_warning(self, corpus, workers):
+        # faulthandler's watchdog is a thread Python does not run. CPython 3.12+
+        # warns on a fork while any other thread exists; it drops the warning
+        # when a filter makes it an error, so the test records warnings instead
+        answers, questions, _, lexicons = corpus
+        faulthandler.dump_traceback_later(60)
+        try:
+            assert threading.active_count() == 1
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                self.both_ways(workers, 2, answers, questions, lexicons)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert workers.forks == 1
+        assert [str(w.message) for w in caught] == []
 
     def test_a_child_killed_by_a_signal_is_an_error(self, corpus, workers, monkeypatch):
         answers, questions, _, lexicons = corpus
@@ -548,14 +571,20 @@ class TestParallel:
         assert scoring._shares(sizes, 1) == [["q2", "q1", "q3", "q4"]]
 
 
+def long_essays():
+    """One question and 40 answers of 1,500 words each, its trigrams mostly distinct."""
+    rng = random.Random(0)
+    words = ["".join(rng.choices(string.ascii_lowercase, k=6)) for _ in range(2000)]
+    question = make_question(text=" ".join(rng.choices(words, k=300)))
+    answers = [RawEssay(f"s{i}", "q1", " ".join(rng.choices(words, k=1500))) for i in range(40)]
+    return question, answers
+
+
 class TestScoreMemory:
     def test_trigram_peak_close_to_what_a_question_holds(self):
         # the fit counts into the table that shares equal grams, so a
         # question's mostly distinct trigrams are tabled once, not twice
-        rng = random.Random(0)
-        words = ["".join(rng.choices(string.ascii_lowercase, k=6)) for _ in range(2000)]
-        question = make_question(text=" ".join(rng.choices(words, k=300)))
-        answers = [RawEssay(f"s{i}", "q1", " ".join(rng.choices(words, k=1500))) for i in range(40)]
+        question, answers = long_essays()
         texts = [question.model_answer] + [a.text for a in answers]
         gc.collect()
         tracemalloc.start()
@@ -578,6 +607,22 @@ class TestScoreMemory:
         assert len(records) == 40
         # 1.04-1.05 on 3.11 to 3.13; a second term table made it 1.17-1.20
         assert peak <= 1.10 * held
+
+    def test_a_grid_holds_one_ngram_sizes_tables_at_a_time(self):
+        # each size's grams and term table go before the next size's are built
+        question, answers = long_essays()
+
+        def peak(cells):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                list(score_corpus(answers, [question], EMPTY, cells=cells))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 1.11 on 3.11 to 3.13; 1.96 when each size's tables outlived it
+        assert peak([("cosine", n) for n in (1, 2, 3)]) <= 1.3 * peak([("cosine", 3)])
 
 
 class TestAggregation:
