@@ -11,10 +11,11 @@ Several (metric, n) cells are scored in one pass, one question at a time.
 A question's documents are preprocessed once. At each n-gram size its
 vocabulary is fitted once and each answer transformed once, and every
 metric at that size reads the same vector. Across questions only one
-similarity per answer per cell is kept. A cell's records are built when
-they are read, from the answers' ids and the question weights alone, so a
-caller that drops the answers before reading the first cell builds every
-record after the answer texts are gone.
+similarity per answer per cell is kept, and each answer's index in its
+question's packed array, 8 bytes an answer. A cell's records are built
+when they are read, from the answers' ids and the question weights
+alone, so a caller that drops the answers before reading the first cell
+builds every record after the answer texts are gone.
 
 Each gram of a question goes through a per-size dict that maps it to its
 first instance, so equal grams share one str and a repeated gram costs
@@ -48,6 +49,7 @@ import mmap
 import os
 import sys
 import warnings
+from array import array
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, repeat
@@ -111,7 +113,8 @@ def score_corpus(
         by_size.setdefault(size, []).append((c, similarity))
     _check_log_base(log_base)
     specs = {q.question_id: q for q in questions}
-    by_question: dict[str, list[int]] = {}
+    # packed, an index costs 8 bytes, not a pointer and a 28-byte int
+    by_question: dict[str, array] = {}
     for i, answer in enumerate(answers):
         if answer.question_id not in specs:
             source = _where(questions)
@@ -119,7 +122,10 @@ def score_corpus(
                 f"{_where(answers, i)}answer {answer.student_id!r} refers to unknown question "
                 f"{answer.question_id!r}" + (f" (not in {source})" if source else "")
             )
-        by_question.setdefault(answer.question_id, []).append(i)
+        ids = by_question.get(answer.question_id)
+        if ids is None:
+            ids = by_question[answer.question_id] = array("L")
+        ids.append(i)
 
     # every model answer is checked before any question is scored or any
     # child forked
@@ -185,7 +191,7 @@ _PARALLEL_MIN_CHARS = 150_000
 def _score_question(
     model_tokens: list[str],
     answers: Sequence[RawEssay],
-    ids: list[int],
+    ids: Sequence[int],
     sims: list[memoryview],
     lexicons: Lexicons,
     by_size: dict[int, list[tuple[int, Callable]]],

@@ -1,4 +1,4 @@
-"""The public name list matches what the package defines; the lowest Python is stated alike."""
+"""Public names match what the package defines; the version and lowest Python are stated alike."""
 
 import re
 import tomllib
@@ -37,3 +37,9 @@ def test_lowest_python_is_the_same_in_pyproject_ci_and_readme():
     stated = re.search(r"nothing beyond\s+Python\s+(\d+\.\d+)\+", readme).group(1)
     lowest = min(legs, key=lambda v: tuple(map(int, v.split("."))))
     assert requires.removeprefix(">=") == lowest == stated
+
+
+def test_version_is_the_one_in_pyproject():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert essayscore.__version__ == version

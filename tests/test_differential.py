@@ -6,8 +6,10 @@ For every (metric, n) cell the library's records and totals must match
 ``tests/oracle.py`` to 1e-9 and equal those of one ``cells`` call over the
 whole grid exactly, questions scored in parallel must give exactly the
 records of questions scored in one process, and the CLI's ``compare.csv``
-must match the oracle's RMSE at its printed precision. The seeds are fixed, so every run
-checks the same corpora.
+must match the oracle's RMSE at its printed precision. Four relations of
+the scorer hold bit for bit: shuffled rows, each question scored alone,
+ids renamed one-to-one and one question's weight doubled give the records
+they should. The seeds are fixed, so every run checks the same corpora.
 """
 
 import csv
@@ -123,6 +125,15 @@ def make_corpus(seed, out_dir, allow_tokenless=True):
     return paths
 
 
+def load(paths):
+    """(answers, questions, lexicons) as the library loads the corpus at ``paths``."""
+    return (
+        load_answers(paths["answers"]),
+        load_model(paths["model"]),
+        load_lexicons(paths["stopwords"], paths["normalization"]),
+    )
+
+
 def oracle_inputs(paths):
     return (
         oracle.read_answers(paths["answers"]),
@@ -159,9 +170,7 @@ def cli_paths(paths, out):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_library_matches_oracle(tmp_path, seed):
     paths = make_corpus(seed, tmp_path)
-    answers = load_answers(paths["answers"])
-    questions = load_model(paths["model"])
-    lexicons = load_lexicons(paths["stopwords"], paths["normalization"])
+    answers, questions, lexicons = load(paths)
     o_answers, o_model, o_stop, o_norm = oracle_inputs(paths)
     answered = {a.question_id for a in answers}
     tokenless = [
@@ -201,9 +210,7 @@ def test_library_matches_oracle(tmp_path, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_parallel_scoring_gives_the_same_bits(tmp_path, workers, seed):
     paths = make_corpus(seed, tmp_path)
-    answers = load_answers(paths["answers"])
-    questions = load_model(paths["model"])
-    lexicons = load_lexicons(paths["stopwords"], paths["normalization"])
+    answers, questions, lexicons = load(paths)
 
     def outcome():
         try:
@@ -223,25 +230,81 @@ def test_parallel_scoring_gives_the_same_bits(tmp_path, workers, seed):
     assert (workers.forks > 0) == (not isinstance(sequential, str))
 
 
+def records_by_key(answers, questions, lexicons):
+    """Each cell's {(student, question): (similarity, points)}, the floats in hex."""
+    return [
+        {(r.student_id, r.question_id): (r.similarity.hex(), r.points.hex()) for r in cell}
+        for cell in score_corpus(answers, questions, lexicons, cells=CELLS)
+    ]
+
+
 def test_row_order_changes_no_record(tmp_path):
     """Shuffled answer and model rows give each (student, question) its record, bit for bit."""
-
-    def records_by_key(answers, questions, lexicons):
-        return [
-            {(r.student_id, r.question_id): (r.similarity.hex(), r.points.hex()) for r in cell}
-            for cell in score_corpus(answers, questions, lexicons, cells=CELLS)
-        ]
-
     for seed in SEEDS:
-        paths = make_corpus(seed, tmp_path, allow_tokenless=False)
-        answers = load_answers(paths["answers"])
-        questions = load_model(paths["model"])
-        lexicons = load_lexicons(paths["stopwords"], paths["normalization"])
+        answers, questions, lexicons = load(make_corpus(seed, tmp_path, allow_tokenless=False))
         expected = records_by_key(answers, questions, lexicons)
         rng = random.Random(seed)
         for _ in range(3):
             shuffled = rng.sample(answers, len(answers)), rng.sample(questions, len(questions))
             assert records_by_key(*shuffled, lexicons) == expected, seed
+
+
+def test_each_question_alone_gives_its_records(tmp_path, workers):
+    """One question's answers scored alone give their whole-corpus records, bit for bit."""
+    workers.cpus(2)
+    for seed in SEEDS:
+        answers, questions, lexicons = load(make_corpus(seed, tmp_path, allow_tokenless=False))
+        alone = [{} for _ in CELLS]
+        for question in questions:
+            own = [a for a in answers if a.question_id == question.question_id]
+            if own:
+                for cell, records in zip(alone, records_by_key(own, [question], lexicons)):
+                    cell.update(records)
+        assert records_by_key(answers, questions, lexicons) == alone, seed
+    # the whole corpora were split over two processes
+    assert workers.forks > 0
+
+
+def test_renaming_ids_changes_no_value(tmp_path):
+    """Renaming every student and question id one-to-one changes no similarity and no points."""
+    for seed in SEEDS:
+        answers, questions, lexicons = load(make_corpus(seed, tmp_path, allow_tokenless=False))
+        rng = random.Random(seed)
+        ids = sorted({a.student_id for a in answers} | {q.question_id for q in questions})
+        # students and questions draw from one shuffled pool of new ids, mixed scripts included,
+        # so a student may take a former question's id and the ids sort in another order
+        pool = [f"{_word(rng)}{k}" for k in range(len(ids))]
+        new = dict(zip(ids, rng.sample(pool, len(pool))))
+        renamed = records_by_key(
+            [a._replace(student_id=new[a.student_id], question_id=new[a.question_id])
+             for a in answers],
+            [q._replace(question_id=new[q.question_id]) for q in questions],
+            lexicons,
+        )
+        expected = [
+            {(new[sid], new[qid]): values for (sid, qid), values in cell.items()}
+            for cell in records_by_key(answers, questions, lexicons)
+        ]
+        assert renamed == expected, seed
+
+
+def test_doubling_a_weight_doubles_only_its_points(tmp_path):
+    """Doubling one question's weight doubles exactly its points and changes nothing else."""
+    for seed in SEEDS:
+        answers, questions, lexicons = load(make_corpus(seed, tmp_path, allow_tokenless=False))
+        before = records_by_key(answers, questions, lexicons)
+        for k, question in enumerate(questions):
+            doubled = [*questions[:k], question._replace(weight=2 * question.weight),
+                       *questions[k + 1:]]
+            expected = [
+                {
+                    (sid, qid): (sim, (2 * float.fromhex(points)).hex())
+                    if qid == question.question_id else (sim, points)
+                    for (sid, qid), (sim, points) in cell.items()
+                }
+                for cell in before
+            ]
+            assert records_by_key(answers, doubled, lexicons) == expected, (seed, k)
 
 
 def test_the_seeds_reach_every_case(tmp_path):

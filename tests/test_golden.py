@@ -1,8 +1,14 @@
-"""Golden outputs: the seed-0 runs of ``tests/golden.py`` match ``tests/golden.json``."""
+"""Golden outputs: the seed-0 runs of ``tests/golden.py`` match ``tests/golden.json``.
+
+They match in this process, through the entry point, and in a child pinned
+to one CPU under a fixed hash seed.
+"""
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 import golden
 
@@ -25,3 +31,18 @@ def test_runs_from_a_checkout_without_pythonpath(tmp_path):
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.startswith("usage: golden.py")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity")
+def test_seed_0_runs_on_one_cpu_under_a_fixed_hash_seed():
+    """The path that scores every question in one process gives the golden outputs."""
+    # the child pins itself, then becomes golden.py, which keeps the pin
+    pin_then_run = (
+        "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", pin_then_run, golden.__file__, "--seed", "0"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": "1"}, timeout=300,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
