@@ -50,7 +50,7 @@ import os
 import sys
 import warnings
 from array import array
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, repeat
 from pathlib import Path
@@ -114,7 +114,7 @@ def score_corpus(
     _check_log_base(log_base)
     specs = {q.question_id: q for q in questions}
     # packed, an index costs 8 bytes, not a pointer and a 28-byte int
-    by_question: dict[str, array] = {}
+    by_question: defaultdict[str, array] = defaultdict(lambda: array("L"))
     for i, answer in enumerate(answers):
         if answer.question_id not in specs:
             source = _where(questions)
@@ -122,10 +122,7 @@ def score_corpus(
                 f"{_where(answers, i)}answer {answer.student_id!r} refers to unknown question "
                 f"{answer.question_id!r}" + (f" (not in {source})" if source else "")
             )
-        ids = by_question.get(answer.question_id)
-        if ids is None:
-            ids = by_question[answer.question_id] = array("L")
-        ids.append(i)
+        by_question[answer.question_id].append(i)
 
     # every model answer is checked before any question is scored or any
     # child forked
