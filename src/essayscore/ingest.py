@@ -1,8 +1,8 @@
 """Loaders for the five input files.
 
 All inputs are UTF-8 text, read from any path ``open()`` reads, a named
-pipe too. Tabular files are RFC-4180 CSV with a required header row; both
-LF and CRLF line endings are accepted. Loading is order-preserving and
+pipe too. Tabular files are RFC-4180 CSV with a required header row; LF,
+CR and CRLF line endings are all accepted. Loading is order-preserving and
 purely a function of file contents.
 
 Each input file is read once, and each data row becomes its record as

@@ -1,4 +1,4 @@
-"""Shared fixtures: paths to the bundled corpus, common loads and forced workers."""
+"""Shared fixtures: paths to the bundled corpus, common loads, forced workers, child environments."""
 
 import os
 from pathlib import Path
@@ -7,7 +7,17 @@ import pytest
 
 from essayscore import load_answers, load_grades, load_lexicons, load_model, scoring
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "data"
+
+
+def src_env(**extra: str) -> dict[str, str]:
+    """This process's environment and ``extra``, with the checkout's ``src`` first on ``PYTHONPATH``.
+
+    A child run with it imports the package under test, installed or not.
+    """
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
 @pytest.fixture(scope="session")

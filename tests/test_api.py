@@ -1,5 +1,6 @@
-"""Public names match what the package defines; the version and lowest Python are stated alike."""
+"""Public names match what the package defines; version, lowest Python and console script agree."""
 
+import ast
 import re
 import tomllib
 import types
@@ -40,6 +41,21 @@ def test_lowest_python_is_the_same_in_pyproject_ci_and_readme():
 
 
 def test_version_is_the_one_in_pyproject():
+    """``pyproject.toml`` takes ``__version__``, a literal that setuptools reads without an import."""
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        version = tomllib.load(fh)["project"]["version"]
-    assert essayscore.__version__ == version
+        pyproject = tomllib.load(fh)
+    assert "version" not in pyproject["project"] and "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "essayscore.__version__"}
+    init = ast.parse((ROOT / "src/essayscore/__init__.py").read_text(encoding="utf-8"))
+    [value] = [
+        node.value for node in init.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__version__"
+    ]
+    assert isinstance(value, ast.Constant) and value.value == essayscore.__version__
+
+
+def test_console_script_runs_cli_run():
+    """The script pip generates calls ``cli.run``, which ``tests/test_cli.py``'s ``SCRIPT`` runs."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"essayscore": "essayscore.cli:run"}

@@ -25,9 +25,7 @@ from hypothesis import strategies as st
 import oracle
 from essayscore import cli, ingest, scoring
 from essayscore.cli import main
-from conftest import cli_args
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import cli_args, src_env
 
 
 def read_text(path):
@@ -41,16 +39,18 @@ def read_rows(path):
 
 
 CLOSED = "closed"  # run_cli's stdout for a child started with fd 1 closed, as `>&-` does
+MODULE = ("-m", "essayscore.cli")
+# what the console script that pip generates for `essayscore.cli:run` runs
+SCRIPT = ("-c", "import sys; from essayscore.cli import run; sys.exit(run())")
 # the CLI as it ended before cli.run: through the interpreter's own exit
 SYS_EXIT_MAIN = ("-c", "import sys; from essayscore.cli import main; sys.exit(main())")
 
 
-def run_cli(args, stdout, *, entry=("-m", "essayscore.cli"), **options):
+def run_cli(args, stdout, *, entry=MODULE, **options):
     """The CLI in a child process with ``stdout`` as its standard output.
 
     ``options`` go to ``subprocess.run``; the streams are text by default.
     """
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     command = [sys.executable, *entry, *args]
     if stdout is CLOSED:
         command, stdout = ["sh", "-c", 'exec "$@" >&-', "sh", *command], None
@@ -58,7 +58,7 @@ def run_cli(args, stdout, *, entry=("-m", "essayscore.cli"), **options):
         command,
         stdout=stdout,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=src_env(),
         timeout=120,
         **{"text": True, **options},
     )
@@ -1369,10 +1369,10 @@ def unwritable_stdout(kind):
 
 
 class TestEntryPoint:
-    """``python -m essayscore.cli`` ends through ``cli.run`` without the interpreter's teardown.
+    """``python -m essayscore.cli`` and the console script (``SCRIPT``) end through ``cli.run``.
 
-    Its children run with stdout buffered, as a console script's is, so a
-    failed write shows at the flush on exit.
+    ``cli.run`` skips the interpreter's teardown. Children run with stdout
+    buffered, as a console script's is, so a failed write shows at the flush.
     """
 
     @pytest.fixture(autouse=True)
@@ -1391,17 +1391,25 @@ class TestEntryPoint:
         return [command, *cli_args(data_dir, out, grades=command != "score")]
 
     @pytest.mark.parametrize(
-        "command, status",
-        [("--help", 0), ("usage", 2), ("bad-input", 1), ("score", 0), ("compare", 0)],
+        "entry, command, status",
+        [
+            pytest.param(entry, command, status, id=f"{name}{command}-{status}")
+            for name, entry in [("", MODULE), ("script-", SCRIPT)]
+            for command, status in [
+                ("--help", 0), ("usage", 2), ("bad-input", 1),
+                ("score", 0), ("evaluate", 0), ("compare", 0),
+            ]
+        ],
     )
-    def test_as_main_in_process(self, data_dir, tmp_path, capsys, command, status):
+    def test_as_main_in_process(self, data_dir, tmp_path, capsys, entry, command, status):
         try:
             got = main(self.command_args(data_dir, tmp_path / "in", command))
         except SystemExit as exc:
             got = exc.code
         out, err = capsys.readouterr()
         result = run_cli(
-            self.command_args(data_dir, tmp_path / "child", command), subprocess.PIPE, text=False
+            self.command_args(data_dir, tmp_path / "child", command), subprocess.PIPE,
+            entry=entry, text=False,
         )
         assert got == status
         assert (result.returncode, result.stdout, result.stderr) == (
@@ -1410,6 +1418,18 @@ class TestEntryPoint:
         assert tree(tmp_path / "child") == tree(tmp_path / "in")
         if command == "compare":
             assert out.startswith("rmse by question")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_script_reads_answers_from_a_named_pipe(self, data_dir, tmp_path, capsys):
+        """The files and streams of the run that reads the file; the last ``--answers`` wins."""
+        assert main(self.command_args(data_dir, tmp_path / "file", "score")) == 0
+        out, err = capsys.readouterr()
+        data = (data_dir / "answers.csv").read_bytes()
+        with fed_fifo(tmp_path / "answers.fifo", data) as fifo:
+            args = [*self.command_args(data_dir, tmp_path / "pipe", "score"), "--answers", str(fifo)]
+            result = run_cli(args, subprocess.PIPE, entry=SCRIPT, text=False)
+        assert (result.returncode, result.stdout, result.stderr) == (0, out.encode(), err.encode())
+        assert tree(tmp_path / "pipe") == tree(tmp_path / "file")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize(
@@ -1426,7 +1446,7 @@ class TestEntryPoint:
     ):
         """Status and stderr as ``sys.exit(main())`` gives, the parent's; a traceback's last line."""
         results = []
-        for k, entry in enumerate([("-m", "essayscore.cli"), SYS_EXIT_MAIN]):
+        for k, entry in enumerate([MODULE, SYS_EXIT_MAIN]):
             with unwritable_stdout(kind) as stdout:
                 args = self.command_args(data_dir, tmp_path / f"out{k}", command)
                 results.append(run_cli(args, stdout, entry=entry))

@@ -1,13 +1,12 @@
 """Each demo script runs to completion against the package in src/, every warning an error."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, src_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,13 +16,10 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_0(demo):
-    pythonpath = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    )
     result = subprocess.run(
         [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,

@@ -13,15 +13,14 @@ they should. The seeds are fixed, so every run checks the same corpora.
 """
 
 import csv
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import oracle
+from conftest import src_env
 from essayscore import (
     EssayScoreError,
     aggregate_totals,
@@ -32,7 +31,6 @@ from essayscore import (
 )
 from essayscore.cli import main
 
-ROOT = Path(__file__).resolve().parent.parent
 CELLS = [(m, n) for m in ("cosine", "jaccard") for n in (1, 2, 3)]
 SEEDS = range(24)
 
@@ -367,13 +365,12 @@ def test_compare_matches_oracle_rmse(tmp_path, capsys, seed):
 
 def test_compare_is_byte_identical_across_hash_seeds(tmp_path):
     paths = make_corpus(3, tmp_path, allow_tokenless=False)
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     runs = []
     for hash_seed in ("0", "4242"):
         out = tmp_path / f"out-{hash_seed}"
         result = subprocess.run(
             [sys.executable, "-m", "essayscore.cli", "compare", *cli_paths(paths, out)],
-            env={**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed},
+            env=src_env(PYTHONHASHSEED=hash_seed),
             capture_output=True,
             timeout=120,
         )

@@ -1,14 +1,13 @@
 """Each ```python block in README.md runs to completion against src/, every warning an error."""
 
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, src_env
+
 BLOCKS = re.findall(
     r"^```python\n(.*?)^```$",
     (ROOT / "README.md").read_text(encoding="utf-8"),
@@ -22,13 +21,10 @@ def test_readme_has_python_examples():
 
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_block_exits_0(code):
-    pythonpath = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    )
     result = subprocess.run(
         [sys.executable, "-W", "error", "-c", code],
         cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,

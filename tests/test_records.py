@@ -1,12 +1,11 @@
 """Every record is an immutable named tuple, and the CLI imports no record machinery."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import src_env
 from essayscore import (
     AnovaResult,
     DescriptiveStats,
@@ -20,7 +19,6 @@ from essayscore import (
     Vocabulary,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
 STATS = DescriptiveStats(1.0, 0.5, 50.0)
 RECORDS = [
     RawEssay("s1", "q1", "text"),
@@ -67,10 +65,9 @@ def test_cli_import_loads_no_record_machinery():
         "import sys, essayscore.cli; essayscore.cli._build_parser(); "
         "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))"
     )
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,
